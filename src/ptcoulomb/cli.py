@@ -359,9 +359,11 @@ _SUITES = {
 
 def _cmd_verify(args, out: _Output) -> int:
     _SUITES[args.suite](out)
+    # a JSON document on stdout must be all of stdout
+    report = sys.stderr if args.format == "json" and not args.out else sys.stdout
     for chk in out.checks:
         status = "PASS" if chk["passed"] else "FAIL"
-        sys.stdout.write(
+        report.write(
             f"{status} {chk['name']}: measured={_cell(chk['measured'])} "
             f"expected={_cell(chk['expected'])}\n"
         )

@@ -15,7 +15,9 @@ import numpy as np
 
 from .lattice import LatticeHamiltonian
 
-#: default relative tolerance for classifying an eigenvalue as real
+#: default relative tolerance for classifying an eigenvalue as real; it is
+#: scaled by max(1, sqrt(|H|_1 |H|_inf)), an SVD-free bound on |H|_2 that equals
+#: the largest absolute row sum for the (complex-symmetric) Coulomb matrices
 REALITY_RTOL = 1e-9
 
 #: relative minimum eigenvalue gap below which left/right pairing is refused
@@ -80,6 +82,14 @@ def _as_matrix(h) -> np.ndarray:
     return h
 
 
+def _norm_bound(m: np.ndarray) -> float:
+    """sqrt(|H|_1 |H|_inf), an upper bound on the spectral norm |H|_2."""
+    if not m.size:
+        return 0.0
+    a = np.abs(m)
+    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+
+
 def _classify(vals: np.ndarray, scale: float, tolerance: Optional[float]):
     if tolerance is None:
         tolerance = REALITY_RTOL * max(1.0, scale)
@@ -96,8 +106,7 @@ def eigenvalues(h, classification_tolerance: Optional[float] = None) -> Spectrum
         raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    scale = float(np.linalg.norm(m, 2)) if m.size else 0.0
-    flags, tol = _classify(vals, scale, classification_tolerance)
+    flags, tol = _classify(vals, _norm_bound(m), classification_tolerance)
     return Spectrum(eigenvalues=vals, real_flags=flags, classification_tolerance=tol)
 
 
@@ -117,11 +126,11 @@ def eigensystem(h, classification_tolerance: Optional[float] = None) -> EigenSys
     order = np.lexsort((vals.imag, vals.real))
     vals, vr = vals[order], vr[:, order]
 
-    norm_h = float(np.linalg.norm(m, 2))
+    scale = _norm_bound(m)
     gaps = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(gaps, np.inf)
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[i, j] < DEGENERACY_RTOL * max(1.0, norm_h):
+    if gaps[i, j] < DEGENERACY_RTOL * max(1.0, scale):
         raise DegenerateSpectrumError(
             f"eigenvalues {vals[i]} and {vals[j]} are separated by "
             f"{gaps[i, j]:.3e}; too close to an exceptional point",
@@ -135,7 +144,6 @@ def eigensystem(h, classification_tolerance: Optional[float] = None) -> EigenSys
             "right-eigenvector matrix is singular (exceptional point)"
         ) from exc
 
-    scale = norm_h
     flags, tol = _classify(vals, scale, classification_tolerance)
     spec = Spectrum(eigenvalues=vals, real_flags=flags, classification_tolerance=tol)
     return EigenSystem(spectrum=spec, right_vectors=vr, left_vectors=vl)

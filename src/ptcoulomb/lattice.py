@@ -74,9 +74,11 @@ def build_grid(n_points: int, cutoff: float) -> GridSpec:
     return GridSpec(n_points=n_points, cutoff=cutoff, spacing=h, nodes=nodes)
 
 
-def _signed_power(j: np.ndarray, n: int, z: float) -> np.ndarray:
-    # sgn(2j-N-1) * |2j-N-1|^z with 2j-N-1 odd, never zero
-    m = 2 * j - n - 1
+def _signed_power(n_points: int, z: float) -> np.ndarray:
+    # sgn(2j-N-1) * |2j-N-1|^z for j = 1..N; even N keeps 2j-N-1 odd, never zero
+    if n_points < 2 or n_points % 2 != 0:
+        raise ValueError(f"n_points must be even and >= 2, got {n_points}")
+    m = 2 * np.arange(1, n_points + 1) - n_points - 1
     return np.sign(m) * np.abs(m) ** float(z)
 
 
@@ -88,10 +90,7 @@ def build_coulomb_hamiltonian(
     At exponent -1 this is the discrete imaginary-Coulomb matrix with
     diagonal 2 -+ i*a/(2j-1); exponent z generalizes the power law.
     """
-    if n_points < 2 or n_points % 2 != 0:
-        raise ValueError(f"n_points must be even and >= 2, got {n_points}")
-    j = np.arange(1, n_points + 1)
-    diag = 2.0 + 1j * coupling * _signed_power(j, n_points, exponent)
+    diag = 2.0 + 1j * coupling * _signed_power(n_points, exponent)
     m = np.diag(diag).astype(complex)
     off = np.arange(n_points - 1)
     m[off, off + 1] = -1.0

@@ -15,8 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .eigensolve import eigenvalues
-from .lattice import LatticeHamiltonian, build_coulomb_hamiltonian
+from .eigensolve import REALITY_RTOL, EigensolverError, eigenvalues
+from .lattice import LatticeHamiltonian, _signed_power
 
 #: number of uniform samples in the initial exceptional-point scan
 EP_SCAN_SAMPLES = 512
@@ -26,6 +26,10 @@ CRITICAL_BRACKET = 2.0
 
 #: hard cap for bracket auto-expansion
 CRITICAL_BRACKET_MAX = 64.0
+
+#: bytes of one float64 matrix stack per LAPACK call in coupling scans; a
+#: single matrix larger than this is solved on its own
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,40 @@ def reality_report(h, tolerance: Optional[float] = None) -> RealityReport:
     )
 
 
-def _n_real(n_points: int, exponent: float, coupling: float) -> int:
-    h = build_coulomb_hamiltonian(n_points, coupling, exponent)
-    return eigenvalues(h).n_real
+def _spectra_along(n_points: int, exponent: float, couplings):
+    """Sorted eigenvalues (M, N) and real counts (M,) of the Coulomb matrix
+    at M couplings, solved a chunk of couplings per LAPACK call.
+
+    H = A + iB with A = tridiag(-1, 2, -1) and B = a diag(s) satisfies
+    PAP = A and PBP = -B for the anti-diagonal flip P, so the unitary
+    Q = (I + iP)/sqrt(2) gives Q^dag H Q = A - BP: a real matrix with the
+    eigenvalues and 2-norm of H.  Eigenvalues are classified as in
+    ``eigensolve.eigenvalues``, with the scale sqrt(|H|_1 |H|_inf), which for
+    this complex-symmetric H is its largest absolute row sum.
+    """
+    s = _signed_power(n_points, exponent)
+    im_diag = np.atleast_1d(np.asarray(couplings, dtype=float))[:, None] * s
+    if not np.all(np.isfinite(im_diag)):
+        raise ValueError("matrix has non-finite entries")
+    n = n_points
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    rows, flip = np.arange(n), np.arange(n)[::-1]
+    chunk = max(1, STACK_BYTES // lap.nbytes)
+    vals = np.empty(im_diag.shape, dtype=complex)
+    for start in range(0, len(im_diag), chunk):
+        part = im_diag[start:start + chunk]
+        stack = np.repeat(lap[None], len(part), axis=0)
+        stack[:, rows, flip] -= part
+        try:
+            vals[start:start + chunk] = np.linalg.eigvals(stack)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+    vals = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), axis=-1)
+    off_diag = np.full(n, 2.0)
+    off_diag[[0, -1]] = 1.0
+    scale = (np.hypot(2.0, im_diag) + off_diag).max(axis=1)
+    tol = REALITY_RTOL * np.maximum(1.0, scale)
+    return vals, np.count_nonzero(np.abs(vals.imag) <= tol[:, None], axis=1)
 
 
 def critical_coupling(
@@ -130,11 +165,11 @@ def critical_coupling(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = n_points
 
-    def fully_real(a: float) -> bool:
-        return _n_real(n, exponent, a) == n
+    def fully_real(couplings) -> np.ndarray:
+        return _spectra_along(n, exponent, couplings)[1] == n
 
     hi = CRITICAL_BRACKET
-    while fully_real(hi):
+    while fully_real(hi)[0]:
         hi *= 2.0
         if hi > CRITICAL_BRACKET_MAX:
             raise RuntimeError(
@@ -144,8 +179,8 @@ def critical_coupling(
 
     # monotonicity scan: the predicate must flip exactly once
     grid = np.linspace(0.0, hi, 65)
-    values = [fully_real(a) for a in grid]
-    flips = [k for k in range(len(values) - 1) if values[k] != values[k + 1]]
+    values = fully_real(grid)
+    flips = np.flatnonzero(values[:-1] != values[1:])
     if len(flips) != 1 or not values[0]:
         bad = flips[1] if len(flips) > 1 else 0
         raise RuntimeError(
@@ -156,22 +191,24 @@ def critical_coupling(
     lo, hi = grid[flips[0]], grid[flips[0] + 1]
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if fully_real(mid):
+        if fully_real(mid)[0]:
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _bisect_drop(n_points, exponent, lo, hi, count_lo, tolerance) -> float:
-    # locate where n_real first falls below count_lo
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if _n_real(n_points, exponent, mid) >= count_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _drops(edges: np.ndarray, counts: np.ndarray):
+    # (lo, hi, count at lo, drop) of every subinterval of each row of edges
+    # over which n_real falls; a rise anywhere is an error
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    c_lo, c_hi = counts[:, :-1].ravel(), counts[:, 1:].ravel()
+    rising = np.flatnonzero(c_hi > c_lo)
+    if rising.size:
+        k = rising[0]
+        raise RuntimeError(f"n_real increased on [{lo[k]}, {hi[k]}]; non-monotone count")
+    fall = c_hi < c_lo
+    return lo[fall], hi[fall], c_lo[fall], (c_lo - c_hi)[fall]
 
 
 def exceptional_points(
@@ -186,37 +223,46 @@ def exceptional_points(
     every drop.  A drop of 2k at a single coupling (the up-down-mirrored
     simultaneous merger) is reported as k coincident exceptional points,
     so the returned list always carries one entry per complexified pair.
+    All brackets are refined together: each refinement step solves every
+    pending coupling in one batch.
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
-    points: List[float] = []
-
-    def process(lo: float, hi: float, c_lo: int, c_hi: int) -> None:
-        drop = c_lo - c_hi
-        if drop <= 0:
-            if drop < 0:
-                raise RuntimeError(
-                    f"n_real increased on [{lo}, {hi}]; non-monotone count"
-                )
-            return
-        if drop == 2 or hi - lo <= tolerance:
-            a_star = _bisect_drop(n_points, exponent, lo, hi, c_lo, tolerance)
-            points.extend([a_star] * (drop // 2))
-            return
-        # drop > 2 over a resolvable interval: refine to try to split it
-        sub = np.linspace(lo, hi, 9)
-        counts = [c_lo] + [_n_real(n_points, exponent, a) for a in sub[1:-1]] + [c_hi]
-        for k in range(8):
-            process(sub[k], sub[k + 1], counts[k], counts[k + 1])
+    def n_real(couplings: np.ndarray) -> np.ndarray:
+        return _spectra_along(n_points, exponent, couplings)[1]
 
     grid = np.linspace(0.0, a_max, EP_SCAN_SAMPLES + 1)
-    counts = [_n_real(n_points, exponent, a) for a in grid]
-    for k in range(EP_SCAN_SAMPLES):
-        process(grid[k], grid[k + 1], counts[k], counts[k + 1])
-    return sorted(points)
+    lo, hi, c_lo, drop = _drops(grid[None], n_real(grid)[None])
+    brackets = []
+    while True:
+        # a drop other than one pair over a resolvable interval is split in
+        # 8 to try to separate its mergers
+        split = (drop != 2) & (hi - lo > tolerance)
+        brackets.append((lo[~split], hi[~split], c_lo[~split], drop[~split]))
+        if not split.any():
+            break
+        sub = np.linspace(lo[split], hi[split], 9, axis=1)
+        counts = np.empty(sub.shape, dtype=int)
+        counts[:, 0] = c_lo[split]
+        counts[:, -1] = c_lo[split] - drop[split]
+        counts[:, 1:-1] = n_real(sub[:, 1:-1].ravel()).reshape(-1, 7)
+        lo, hi, c_lo, drop = _drops(sub, counts)
+
+    lo, hi, c_lo, drop = (np.concatenate(col) for col in zip(*brackets))
+    pairs = drop >= 2
+    lo, hi, c_lo, drop = lo[pairs], hi[pairs], c_lo[pairs], drop[pairs]
+    # bisect each bracket to where n_real first falls below its c_lo
+    active = hi - lo > tolerance
+    while active.any():
+        mid = 0.5 * (lo[active] + hi[active])
+        stays = n_real(mid) >= c_lo[active]
+        lo[active] = np.where(stays, mid, lo[active])
+        hi[active] = np.where(stays, hi[active], mid)
+        active = hi - lo > tolerance
+    return sorted(np.repeat(0.5 * (lo + hi), drop // 2).tolist())
 
 
 def sweep(
@@ -236,24 +282,16 @@ def sweep(
     if not a_min < a_max:
         raise ValueError(f"need a_min < a_max, got [{a_min}, {a_max}]")
     couplings = np.linspace(a_min, a_max, steps)
-    table = np.empty((steps, n_points), dtype=complex)
-    n_real = np.empty(steps, dtype=int)
-    prev = None
-    for i, a in enumerate(couplings):
-        spec = eigenvalues(build_coulomb_hamiltonian(n_points, a, exponent))
-        vals = spec.eigenvalues
-        if prev is None:
-            row = vals
-        else:
-            row = np.empty_like(vals)
-            used = np.zeros(n_points, dtype=bool)
-            for j in range(n_points):
-                dist = np.abs(vals - prev[j])
-                dist[used] = np.inf
-                pick = int(np.argmin(dist))
-                row[j] = vals[pick]
-                used[pick] = True
-        table[i] = row
-        prev = row
-        n_real[i] = spec.n_real
+    vals, n_real = _spectra_along(n_points, exponent, couplings)
+    table = np.empty_like(vals)
+    table[0] = vals[0]
+    for i in range(1, steps):
+        prev, row = table[i - 1], table[i]
+        used = np.zeros(n_points, dtype=bool)
+        for j in range(n_points):
+            dist = np.abs(vals[i] - prev[j])
+            dist[used] = np.inf
+            pick = int(np.argmin(dist))
+            row[j] = vals[i, pick]
+            used[pick] = True
     return SweepTable(couplings=couplings, eigenvalues=table, n_real=n_real)

@@ -184,6 +184,24 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
 
 
+    def test_json_on_stdout_is_the_whole_stdout(self, capsys):
+        code, out = run(capsys, "verify", "metrics-n4")
+        assert code == 0
+        csv_names = [ln.split(":")[0].split(" ", 1)[1] for ln in out.splitlines() if ln]
+        assert len(csv_names) == 8
+        assert all(ln.startswith("PASS ") for ln in out.splitlines() if ln)
+        code = main(["verify", "metrics-n4", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert doc["command"] == "verify"
+        assert [c["name"] for c in doc["checks"]] == csv_names
+        assert all(c["passed"] for c in doc["checks"])
+        assert [ln.split(":")[0] for ln in captured.err.splitlines()] == [
+            f"PASS {name}" for name in csv_names
+        ]
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from ptcoulomb import (
     secular_coefficients_n4,
     secular_coefficients_n6,
 )
+from ptcoulomb.eigensolve import REALITY_RTOL
 from helpers import (
     brute_force_charpoly,
     dirichlet_laplacian_eigenvalues,
@@ -64,6 +65,31 @@ class TestEigenvalues:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            build_coulomb_hamiltonian(2, 0.5, -1.0).matrix,
+            build_coulomb_hamiltonian(8, 1.5, -1.0).matrix,
+            build_coulomb_hamiltonian(10, 0.3, 0.5).matrix,
+            build_coulomb_hamiltonian(64, 2.0, -1.0).matrix,
+            np.random.default_rng(5).normal(size=(7, 7)) * 3.0,
+            np.array([[0.1, 0.2], [0.0, 0.1j]]),
+        ],
+    )
+    def test_classification_tolerance_uses_the_norm_bound(self, m):
+        bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+        tol = eigenvalues(m).classification_tolerance
+        assert tol == REALITY_RTOL * max(1.0, bound)
+        assert tol >= REALITY_RTOL * np.linalg.norm(m, 2)
+
+    def test_norm_bound_is_the_row_sum_for_coulomb_matrices(self):
+        m = build_coulomb_hamiltonian(12, 0.7, -1.0).matrix
+        want = REALITY_RTOL * np.abs(m).sum(axis=1).max()
+        assert eigenvalues(m).classification_tolerance == pytest.approx(want, rel=1e-15)
+        assert eigensystem(m).spectrum.classification_tolerance == pytest.approx(
+            want, rel=1e-15
+        )
 
     @given(
         n=st.integers(min_value=1, max_value=6).map(lambda k: 2 * k),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptcoulomb import (
     build_coulomb_hamiltonian,
@@ -10,6 +12,7 @@ from ptcoulomb import (
     reality_report,
     secular_coefficients_n4,
     secular_coefficients_n6,
+    spectra,
     sweep,
 )
 from helpers import multiset_deviation, n_real_brute
@@ -120,6 +123,13 @@ class TestExceptionalPoints:
         drop = scan[np.argmax(counts == 0)]
         assert pts[2] == pytest.approx(drop, abs=1e-3)
 
+    def test_coarse_scan_splits_distinct_eps_sharing_a_cell(self):
+        # scan cells 0.4 wide: the N=10 mergers near 0.673 (two pairs) and
+        # 0.774 (one pair) fall in the same cell [0.4, 0.8]
+        fine = exceptional_points(10, -1.0, 3.0, 1e-6)
+        coarse = exceptional_points(10, -1.0, 0.4 * 512, 1e-6)
+        np.testing.assert_allclose(coarse, fine, atol=2e-6)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             exceptional_points(4, -1.0, 0.0, 1e-6)
@@ -157,3 +167,121 @@ class TestSweep:
             sweep(4, -1.0, 0.0, 0.0, 10)
         with pytest.raises(ValueError):
             sweep(4, -1.0, 0.0, 1.0, 1)
+
+
+def alpha_brute(n, z, iterations=40):
+    """Edge of the fully-real interval by plain bisection of n_real_brute."""
+    lo, hi = 0.0, 2.0
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if n_real_brute(n, mid, z) == n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestCouplingAxisEngine:
+    @pytest.mark.parametrize("n", [2, 4, 10, 64])
+    @pytest.mark.parametrize("z", [-1.0, -0.5, 0.5])
+    def test_eigenvalues_match_complex_eigvals(self, n, z):
+        alpha = alpha_brute(n, z)
+        couplings = alpha * np.array([0.0, 0.5, 0.9, 1.5, 3.0])
+        vals, _ = spectra._spectra_along(n, z, couplings)
+        assert vals.shape == (len(couplings), n)
+        counts = [n_real_brute(n, a, z) for a in couplings]
+        assert counts[0] == n and counts[-1] < n  # inside and outside the interval
+        for a, row in zip(couplings, vals):
+            m = build_coulomb_hamiltonian(n, a, z).matrix
+            bound = 1e-12 * max(1.0, np.linalg.norm(m, 2))
+            assert multiset_deviation(row, np.linalg.eigvals(m)) <= bound
+            keys = [(v.real, v.imag) for v in row]
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", [4, 10, 16])
+    @pytest.mark.parametrize("z", [-1.0, -0.5, 0.5])
+    def test_counts_match_brute_away_from_eps(self, n, z):
+        grid = np.linspace(0.0, 2.0, 801)
+        brute = np.array([n_real_brute(n, a, z) for a in grid])
+        # every EP lies in an interval where the brute count changes; keep
+        # only grid points at least one step (2.5e-3) away from those intervals
+        change = np.flatnonzero(np.diff(brute))
+        near = np.zeros(grid.size, dtype=bool)
+        near[change] = near[change + 1] = True
+        assert change.size and not near.all()
+        _, counts = spectra._spectra_along(n, z, grid)
+        np.testing.assert_array_equal(counts[~near], brute[~near])
+
+    @given(
+        z=st.floats(min_value=-1.2, max_value=-0.8),
+        n=st.sampled_from([6, 8, 10]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_each_ep_drops_the_brute_count_by_its_pairs(self, z, n):
+        tol = 1e-6
+        pts = exceptional_points(n, z, 3.0, tol)
+        assert pts
+        # coincident EPs (one bracket, k pairs) form one cluster of size k
+        clusters = [[pts[0]]]
+        for p in pts[1:]:
+            if p - clusters[-1][-1] <= 4 * tol:
+                clusters[-1].append(p)
+            else:
+                clusters.append([p])
+        for cluster in clusters:
+            p, k = cluster[0], len(cluster)
+            drop = n_real_brute(n, p - 2 * tol, z) - n_real_brute(n, p + 2 * tol, z)
+            assert drop == 2 * k
+
+    def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
+        sizes = []
+        eigvals = np.linalg.eigvals
+
+        def spy(stack):
+            sizes.append((stack.shape[0], stack.nbytes))
+            return eigvals(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        table = sweep(64, -1.0, 0.0, 0.2, 100)
+        assert sum(count for count, _ in sizes) == 100
+        assert max(count for count, _ in sizes) > 1
+        assert all(nbytes <= spectra.STACK_BYTES for _, nbytes in sizes)
+        assert table.eigenvalues.shape == (100, 64)
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(ValueError):
+            spectra._spectra_along(5, -1.0, [0.1])
+
+
+def fake_counts(steps):
+    """Stand-in for the engine whose real count follows a step table."""
+    edges, values = zip(*steps)
+
+    def engine(n_points, exponent, couplings):
+        a = np.atleast_1d(np.asarray(couplings, dtype=float))
+        return None, np.array(values)[np.searchsorted(edges, a, side="right") - 1]
+
+    return engine
+
+
+class TestNonMonotoneCounts:
+    # count n up to 0.3, fewer on [0.3, 0.5), n again on [0.5, 0.7), then 0
+    steps = [(0.0, 4), (0.3, 2), (0.5, 4), (0.7, 0)]
+
+    def test_critical_coupling_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_spectra_along", fake_counts(self.steps))
+        with pytest.raises(RuntimeError, match="not monotone"):
+            critical_coupling(4, -1.0, 1e-8)
+
+    def test_exceptional_points_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_spectra_along", fake_counts(self.steps))
+        with pytest.raises(RuntimeError, match="non-monotone"):
+            exceptional_points(4, -1.0, 3.0, 1e-6)
+
+
+class TestAlphaPlateau:
+    def test_alpha_times_n_levels_off(self):
+        scaled = {n: critical_coupling(n, -1.0, 1e-8) * n for n in (64, 100)}
+        for value in scaled.values():
+            assert 4.30 <= value <= 4.45
+        assert abs(scaled[64] - scaled[100]) <= 0.05
