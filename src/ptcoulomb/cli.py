@@ -227,18 +227,6 @@ def _cmd_continuum_check(args, out: _Output) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _multiset_deviation(got: np.ndarray, want: np.ndarray) -> float:
-    # greedy nearest matching; robust against tie-order of conjugate pairs
-    got = list(np.asarray(got, dtype=complex))
-    worst = 0.0
-    for w in np.asarray(want, dtype=complex):
-        dist = [abs(g - w) for g in got]
-        pick = int(np.argmin(dist))
-        worst = max(worst, dist[pick])
-        got.pop(pick)
-    return float(worst)
-
-
 def _verify_paper_n4(out: _Output) -> None:
     for a in (0.0, 1.0 / 3.0, 0.5, 1.0):
         h = lattice.build_coulomb_hamiltonian(4, a, -1.0)
@@ -252,7 +240,9 @@ def _verify_paper_n4(out: _Output) -> None:
         got = eigensolve.eigenvalues(
             lattice.build_coulomb_hamiltonian(4, a, -1.0)
         ).eigenvalues
-        worst = max(worst, _multiset_deviation(got, want))
+        # greedy nearest matching; robust against tie-order of conjugate pairs
+        dev = np.abs(got[spectra._greedy_match(want, got)] - want)
+        worst = max(worst, float(dev.max()))
     out.add_check("closed_form_spectrum_max_dev", worst <= 1e-9, worst, 0.0, 1e-9)
     alpha = spectra.critical_coupling(4, -1.0, 1e-8)
     ref = 0.75 * np.sqrt(10.0 - 4.0 * np.sqrt(5.0))

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeHamiltonian
+from .lattice import _as_matrix
 
 #: default relative tolerance for classifying an eigenvalue as real; it is
 #: scaled by max(1, sqrt(|H|_1 |H|_inf)), an SVD-free bound on |H|_2 that equals
@@ -71,17 +71,6 @@ class EigenSystem:
     normalization: str = "biorthonormal"
 
 
-def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, LatticeHamiltonian):
-        h = h.matrix
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix has non-finite entries")
-    return h
-
-
 def _norm_bound(m: np.ndarray) -> float:
     """sqrt(|H|_1 |H|_inf), an upper bound on the spectral norm |H|_2."""
     if not m.size:
@@ -93,6 +82,8 @@ def _norm_bound(m: np.ndarray) -> float:
 def _classify(vals: np.ndarray, scale: float, tolerance: Optional[float]):
     if tolerance is None:
         tolerance = REALITY_RTOL * max(1.0, scale)
+    elif not tolerance >= 0:
+        raise ValueError(f"classification tolerance must be None or >= 0, got {tolerance}")
     flags = np.abs(vals.imag) <= tolerance
     return flags, tolerance
 

@@ -82,6 +82,12 @@ def _signed_power(n_points: int, z: float) -> np.ndarray:
     return np.sign(m) * np.abs(m) ** float(z)
 
 
+def _tridiagonal(diag: np.ndarray) -> np.ndarray:
+    # the lattice matrix: diag on the diagonal, -1 on both off-diagonals
+    n = len(diag)
+    return np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
 def build_coulomb_hamiltonian(
     n_points: int, coupling: float, exponent: float = -1.0
 ) -> LatticeHamiltonian:
@@ -90,11 +96,7 @@ def build_coulomb_hamiltonian(
     At exponent -1 this is the discrete imaginary-Coulomb matrix with
     diagonal 2 -+ i*a/(2j-1); exponent z generalizes the power law.
     """
-    diag = 2.0 + 1j * coupling * _signed_power(n_points, exponent)
-    m = np.diag(diag).astype(complex)
-    off = np.arange(n_points - 1)
-    m[off, off + 1] = -1.0
-    m[off + 1, off] = -1.0
+    m = _tridiagonal(2.0 + 1j * coupling * _signed_power(n_points, exponent))
     return LatticeHamiltonian(matrix=m, coupling=float(coupling), exponent=float(exponent))
 
 
@@ -114,11 +116,7 @@ def build_general_hamiltonian(
                 f"potential is singular at node index {idx} (x = {x!r}): {v!r}"
             )
         vals[idx] = v
-    n = grid.n_points
-    m = np.diag(2.0 + grid.spacing**2 * vals).astype(complex)
-    off = np.arange(n - 1)
-    m[off, off + 1] = -1.0
-    m[off + 1, off] = -1.0
+    m = _tridiagonal(2.0 + grid.spacing**2 * vals)
     return LatticeHamiltonian(matrix=m, coupling=float("nan"), exponent=float("nan"), grid=grid)
 
 
@@ -129,11 +127,18 @@ def parity(n_points: int) -> ParityMatrix:
     return ParityMatrix(matrix=np.fliplr(np.eye(n_points)))
 
 
-def is_pt_symmetric(h: np.ndarray, tolerance: float = 0.0) -> bool:
-    """True iff P conj(H) P equals H entrywise within tolerance (max norm)."""
-    h = np.asarray(h)
+def _as_matrix(h) -> np.ndarray:
+    # the finite complex square matrix of an array or of an object's .matrix
+    h = np.asarray(getattr(h, "matrix", h), dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    p = parity(h.shape[0]).matrix
-    dev = np.max(np.abs(p @ np.conj(h) @ p - h))
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix has non-finite entries")
+    return h
+
+
+def is_pt_symmetric(h: np.ndarray, tolerance: float = 0.0) -> bool:
+    """True iff P conj(H) P equals H entrywise within tolerance (max norm)."""
+    h = _as_matrix(h)
+    dev = np.max(np.abs(np.conj(h)[::-1, ::-1] - h))
     return bool(dev <= tolerance)

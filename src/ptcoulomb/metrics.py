@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .eigensolve import EigenSystem
-from .lattice import LatticeHamiltonian
+from .lattice import _as_matrix
 
 
 class ComplexSpectrumError(RuntimeError):
@@ -57,20 +57,10 @@ class ObservableCandidate:
     parameters: Tuple[float, float, float, float]
 
 
-def _metric_matrix(theta) -> np.ndarray:
-    m = theta.matrix if isinstance(theta, MetricCandidate) else np.asarray(theta)
-    return np.asarray(m, dtype=complex)
-
-
-def _ham_matrix(h) -> np.ndarray:
-    m = h.matrix if isinstance(h, LatticeHamiltonian) else np.asarray(h)
-    return np.asarray(m, dtype=complex)
-
-
 def dieudonne_residual(h, theta) -> float:
     """Frobenius norm of H^dag Theta - Theta H, normalized by |H| |Theta|."""
-    hm = _ham_matrix(h)
-    tm = _metric_matrix(theta)
+    hm = _as_matrix(h)
+    tm = _as_matrix(theta)
     if hm.shape != tm.shape:
         raise ValueError(f"shape mismatch: H {hm.shape} vs Theta {tm.shape}")
     num = np.linalg.norm(hm.conj().T @ tm - tm @ hm)
@@ -104,7 +94,7 @@ def metric_from_biorthogonal(
 
 def is_positive(theta) -> Tuple[bool, float]:
     """Positive-definiteness verdict plus the smallest Hermitian eigenvalue."""
-    m = _metric_matrix(theta)
+    m = _as_matrix(theta)
     herm_dev = np.max(np.abs(m - m.conj().T))
     if herm_dev > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -255,19 +245,14 @@ def n4_metric_eigenvalues(coupling: float, exponent: float = -1.0) -> np.ndarray
 
 def band_width(theta, tolerance: float = 1e-12) -> int:
     """Smallest band width theta with |Theta_mn| negligible for |m-n| > theta."""
-    m = _metric_matrix(theta)
-    n = m.shape[0]
-    cut = tolerance * np.max(np.abs(m))
-    for width in range(n):
-        mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > width
-        if np.all(np.abs(m[mask]) <= cut):
-            return width
-    return n - 1
+    m = np.abs(_as_matrix(theta))
+    i, j = np.nonzero(m > tolerance * np.max(m))
+    return int(np.max(np.abs(i - j), initial=0))
 
 
 def s_inner_product(psi: np.ndarray, phi: np.ndarray, theta) -> complex:
     """Physical inner product (psi, phi)_S = sum_jk psi*_j Theta_jk phi_k."""
-    m = _metric_matrix(theta)
+    m = _as_matrix(theta)
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     if psi.shape != (m.shape[0],) or phi.shape != (m.shape[1],):
@@ -280,30 +265,14 @@ def s_inner_product(psi: np.ndarray, phi: np.ndarray, theta) -> complex:
 def dieudonne_solution_dimension(h, rank_tolerance: float = 1e-10) -> int:
     """Real dimension of the Hermitian solution space of H^dag X = X H.
 
-    Vectorizes the real-linear map on Hermitian matrices and counts the
-    nullity of its real representation.
+    The complex solution space is closed under X -> X^dag, so its complex
+    dimension equals the real dimension of its Hermitian part: the nullity
+    of the vectorized map kron(I, H^dag) - kron(H^T, I).
     """
-    hm = _ham_matrix(h)
+    hm = _as_matrix(h)
     n = hm.shape[0]
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j
-            e[j, i] = -1j
-            basis.append(e)
-    cols = []
-    for e in basis:
-        img = hm.conj().T @ e - e @ hm
-        cols.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
-    mat = np.column_stack(cols)
+    eye = np.eye(n)
+    mat = np.kron(eye, hm.conj().T) - np.kron(hm.T, eye)
     s = np.linalg.svd(mat, compute_uv=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s > rank_tolerance * scale))

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .eigensolve import REALITY_RTOL, EigensolverError, eigenvalues
-from .lattice import LatticeHamiltonian, _signed_power
+from .lattice import LatticeHamiltonian, _signed_power, _tridiagonal
 
 #: number of uniform samples in the initial exceptional-point scan
 EP_SCAN_SAMPLES = 512
@@ -131,7 +131,7 @@ def _spectra_along(n_points: int, exponent: float, couplings):
     if not np.all(np.isfinite(im_diag)):
         raise ValueError("matrix has non-finite entries")
     n = n_points
-    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap = _tridiagonal(np.full(n, 2.0))
     rows, flip = np.arange(n), np.arange(n)[::-1]
     chunk = max(1, STACK_BYTES // lap.nbytes)
     vals = np.empty(im_diag.shape, dtype=complex)
@@ -161,7 +161,7 @@ def critical_coupling(
     beyond); non-monotone scans raise with the offending subinterval.
     Returns the lower (certified fully-real) edge of the final bracket.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = n_points
 
@@ -188,14 +188,37 @@ def critical_coupling(
             f"subinterval [{grid[bad]}, {grid[bad + 1]}]"
         )
 
-    lo, hi = grid[flips[0]], grid[flips[0] + 1]
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if fully_real(mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    edge = flips[:1]
+    lo, _ = _bisect(n, exponent, grid[edge], grid[edge + 1], np.array([n]), tolerance)
+    return lo[0]
+
+
+def _require_progress(lo, hi, inner, tolerance):
+    # a bracket whose inner points (one row each) all repeat its endpoints
+    # cannot shrink: the tolerance is below the float spacing there
+    stuck = ((inner == lo[:, None]) | (inner == hi[:, None])).all(axis=1)
+    if stuck.any():
+        k = np.flatnonzero(stuck)[0]
+        raise ValueError(
+            f"tolerance {tolerance} is below the float spacing at a = {lo[k]}; "
+            f"bracket [{lo[k]}, {hi[k]}] cannot shrink"
+        )
+
+
+def _bisect(n_points, exponent, lo, hi, c_lo, tolerance):
+    """Bisect every bracket [lo, hi] to where n_real first falls below its
+    c_lo, all brackets in one engine call per round; narrows lo and hi in
+    place and returns them."""
+    active = hi - lo > tolerance
+    while active.any():
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        _require_progress(a, b, mid[:, None], tolerance)
+        stays = _spectra_along(n_points, exponent, mid)[1] >= c_lo[active]
+        lo[active] = np.where(stays, mid, a)
+        hi[active] = np.where(stays, b, mid)
+        active = hi - lo > tolerance
+    return lo, hi
 
 
 def _drops(edges: np.ndarray, counts: np.ndarray):
@@ -228,7 +251,7 @@ def exceptional_points(
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     def n_real(couplings: np.ndarray) -> np.ndarray:
@@ -245,6 +268,7 @@ def exceptional_points(
         if not split.any():
             break
         sub = np.linspace(lo[split], hi[split], 9, axis=1)
+        _require_progress(lo[split], hi[split], sub[:, 1:-1], tolerance)
         counts = np.empty(sub.shape, dtype=int)
         counts[:, 0] = c_lo[split]
         counts[:, -1] = c_lo[split] - drop[split]
@@ -253,16 +277,8 @@ def exceptional_points(
 
     lo, hi, c_lo, drop = (np.concatenate(col) for col in zip(*brackets))
     pairs = drop >= 2
-    lo, hi, c_lo, drop = lo[pairs], hi[pairs], c_lo[pairs], drop[pairs]
-    # bisect each bracket to where n_real first falls below its c_lo
-    active = hi - lo > tolerance
-    while active.any():
-        mid = 0.5 * (lo[active] + hi[active])
-        stays = n_real(mid) >= c_lo[active]
-        lo[active] = np.where(stays, mid, lo[active])
-        hi[active] = np.where(stays, hi[active], mid)
-        active = hi - lo > tolerance
-    return sorted(np.repeat(0.5 * (lo + hi), drop // 2).tolist())
+    lo, hi = _bisect(n_points, exponent, lo[pairs], hi[pairs], c_lo[pairs], tolerance)
+    return sorted(np.repeat(0.5 * (lo + hi), drop[pairs] // 2).tolist())
 
 
 def sweep(
@@ -286,12 +302,16 @@ def sweep(
     table = np.empty_like(vals)
     table[0] = vals[0]
     for i in range(1, steps):
-        prev, row = table[i - 1], table[i]
-        used = np.zeros(n_points, dtype=bool)
-        for j in range(n_points):
-            dist = np.abs(vals[i] - prev[j])
-            dist[used] = np.inf
-            pick = int(np.argmin(dist))
-            row[j] = vals[i, pick]
-            used[pick] = True
+        table[i] = vals[i, _greedy_match(table[i - 1], vals[i])]
     return SweepTable(couplings=couplings, eigenvalues=table, n_real=n_real)
+
+
+def _greedy_match(ref: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """For each ref[j] in order, the index of the nearest unused entry of
+    vals; ties go to the lowest index."""
+    dist = np.abs(vals[None, :] - ref[:, None])
+    picks = np.empty(len(ref), dtype=int)
+    for j, row in enumerate(dist):
+        picks[j] = np.argmin(row)
+        dist[:, picks[j]] = np.inf
+    return picks

@@ -107,6 +107,25 @@ class TestCriticalAndEps:
             assert p == pytest.approx(0.7706147, abs=1e-5)
 
 
+class TestToleranceErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["critical", "--n", "4", "--tol", "nan"],
+            ["eps", "--n", "6", "--tol", "nan"],
+            ["spectrum", "--n", "4", "--a", "0.3", "--tol", "nan"],
+            ["spectrum", "--n", "4", "--a", "0.3", "--tol", "-1"],
+            ["critical", "--n", "4", "--tol", "1e-20"],
+            ["eps", "--n", "6", "--tol", "1e-20"],
+        ],
+        ids=" ".join,
+    )
+    def test_domain_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 class TestMetric:
     def test_default_weights_checks_pass(self, capsys):
         code, out = run(capsys, "metric", "--n", "4", "--a", "0.3", "--format", "json")

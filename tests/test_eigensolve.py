@@ -66,6 +66,18 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_rejects_classification_tolerance_below_zero(self, tol):
+        m = build_coulomb_hamiltonian(4, 0.3, -1.0)
+        with pytest.raises(ValueError, match="classification tolerance"):
+            eigenvalues(m, classification_tolerance=tol)
+        with pytest.raises(ValueError, match="classification tolerance"):
+            eigensystem(m, classification_tolerance=tol)
+
+    def test_zero_classification_tolerance_is_accepted(self):
+        spec = eigenvalues(np.diag([1.0, 2.0]), classification_tolerance=0.0)
+        assert spec.fully_real and spec.classification_tolerance == 0.0
+
     @pytest.mark.parametrize(
         "m",
         [

@@ -159,3 +159,7 @@ class TestIsPtSymmetric:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             is_pt_symmetric(np.ones((2, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            is_pt_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -9,6 +9,7 @@ from ptcoulomb import (
     band_width,
     build_coulomb_hamiltonian,
     cpt_charge_n2,
+    critical_coupling,
     dieudonne_residual,
     dieudonne_solution_dimension,
     eigensystem,
@@ -345,3 +346,31 @@ class TestSolutionSpaceDimension:
         # dimension N
         m = np.diag([1.0, 2.0, 3.0])
         assert dieudonne_solution_dimension(m) == 3
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.5, 3.0])
+    def test_coulomb_dimension_is_n(self, n, frac):
+        # inside and beyond the reality interval alike
+        a = frac * critical_coupling(n, -1.0, 1e-8)
+        assert dieudonne_solution_dimension(build_coulomb_hamiltonian(n, a, -1.0)) == n
+
+
+MATRIX_CONSUMERS = {
+    "dieudonne_residual(h)": lambda m: dieudonne_residual(m, np.eye(2)),
+    "dieudonne_residual(theta)": lambda m: dieudonne_residual(np.eye(2), m),
+    "is_positive": is_positive,
+    "band_width": band_width,
+    "s_inner_product": lambda m: s_inner_product(np.ones(2), np.ones(2), m),
+    "dieudonne_solution_dimension": dieudonne_solution_dimension,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CONSUMERS))
+@pytest.mark.parametrize(
+    "m",
+    [np.ones((2, 3)), np.array([[1.0, np.nan], [0.0, 1.0]]), np.diag([np.inf, 1.0])],
+    ids=["non-square", "nan", "inf"],
+)
+def test_malformed_matrices_are_rejected(name, m):
+    with pytest.raises(ValueError):
+        MATRIX_CONSUMERS[name](m)

@@ -285,3 +285,54 @@ class TestAlphaPlateau:
         for value in scaled.values():
             assert 4.30 <= value <= 4.45
         assert abs(scaled[64] - scaled[100]) <= 0.05
+
+
+class TestSharedRefinement:
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    @pytest.mark.parametrize("z", [-1.2, -1.0, -0.8])
+    def test_critical_coupling_is_the_first_exceptional_point(self, n, z):
+        alpha = critical_coupling(n, z, 1e-8)
+        assert abs(alpha - exceptional_points(n, z, 3.0, 1e-6)[0]) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_searches_reject_tolerances_not_above_zero(self, tol):
+        with pytest.raises(ValueError, match="positive"):
+            critical_coupling(4, -1.0, tol)
+        with pytest.raises(ValueError, match="positive"):
+            exceptional_points(6, -1.0, 3.0, tol)
+
+    def test_critical_coupling_below_float_spacing_raises(self):
+        with pytest.raises(ValueError, match="float spacing at a = 0.7706"):
+            critical_coupling(4, -1.0, 1e-20)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_exceptional_points_below_float_spacing_raises(self, n):
+        with pytest.raises(ValueError, match="float spacing"):
+            exceptional_points(n, -1.0, 3.0, 1e-20)
+
+    def test_unseparable_drop_below_float_spacing_raises(self, monkeypatch):
+        # a drop of 4 that no split separates is narrowed to adjacent floats
+        monkeypatch.setattr(spectra, "_spectra_along", fake_counts([(0.0, 4), (0.7, 0)]))
+        with pytest.raises(ValueError, match="float spacing at a = 0.69"):
+            exceptional_points(4, -1.0, 3.0, 1e-20)
+
+
+class TestGreedyMatch:
+    def test_ties_go_to_the_lowest_unused_index(self):
+        vals = np.array([1.0, -1.0, 1j, 2.0])
+        np.testing.assert_array_equal(
+            spectra._greedy_match(np.array([0.0, 0.0, 0.0]), vals), [0, 1, 2]
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_agrees_with_the_oracle(self, seed, n):
+        # integer lattice points make equidistant candidates common
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+        vals = rng.integers(-2, 3, n) + 1j * rng.integers(-2, 3, n)
+        picks = spectra._greedy_match(ref, vals)
+        assert sorted(picks) == list(range(n))
+        # the oracle's scalar abs and numpy's array abs may differ in the last bit
+        deviation = np.max(np.abs(vals[picks] - ref))
+        assert deviation == pytest.approx(multiset_deviation(vals, ref), rel=1e-15)
