@@ -201,6 +201,17 @@ def _cmd_observable(args, out: _Output) -> int:
     return 0 if res <= 1e-12 else 1
 
 
+def _residual_pair(spec, eps: float, span: float):
+    """ODE residuals on 801- and 1601-sample contours over |s| <= joint + span."""
+    joint = 0.5 * np.pi * eps
+    return tuple(
+        continuum.ode_residual_on_contour(
+            spec, continuum.build_contour(eps, -joint - span, joint + span, n)
+        )
+        for n in (801, 1601)
+    )
+
+
 def _cmd_continuum_check(args, out: _Output) -> int:
     spec = continuum.ContinuumSpec(
         angular=args.L, z_charge=args.Z, k_wave=args.k, superposition=(1.0, 0.0)
@@ -213,11 +224,7 @@ def _cmd_continuum_check(args, out: _Output) -> int:
         hi = continuum.contour_point(eps, s + 1e-12)
         gap = abs(hi - lo)
         ok &= out.add_check(f"joint_continuity_s={_num(s)}", gap <= 1e-10, gap, 0.0, 1e-10)
-    span = 2.0 * joint
-    coarse = continuum.build_contour(eps, -joint - span, joint + span, 801)
-    fine = continuum.build_contour(eps, -joint - span, joint + span, 1601)
-    r_coarse = continuum.ode_residual_on_contour(spec, coarse)
-    r_fine = continuum.ode_residual_on_contour(spec, fine)
+    r_coarse, r_fine = _residual_pair(spec, eps, 2.0 * joint)
     ratio = r_coarse / r_fine if r_fine > 0 else float("inf")
     ok &= out.add_check("residual_fine", r_fine < r_coarse, r_fine, f"< {r_coarse}", None)
     ok &= out.add_check("convergence_ratio", ratio > 2.5, ratio, "~4 (second order)", None)
@@ -330,10 +337,7 @@ def _verify_continuum(out: _Output) -> None:
     )
     out.add_check("contour_joint_continuity", gap <= 1e-12, gap, 0.0, 1e-12)
     gen = continuum.ContinuumSpec(angular=0.25, z_charge=1.0, k_wave=0.5)
-    coarse = continuum.build_contour(eps, -2 * joint, 2 * joint, 801)
-    fine = continuum.build_contour(eps, -2 * joint, 2 * joint, 1601)
-    r_c = continuum.ode_residual_on_contour(gen, coarse)
-    r_f = continuum.ode_residual_on_contour(gen, fine)
+    r_c, r_f = _residual_pair(gen, eps, joint)
     ratio = r_c / r_f if r_f > 0 else float("inf")
     out.add_check("ode_residual_second_order", ratio > 2.5, ratio, "~4", None)
 

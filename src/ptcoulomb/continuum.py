@@ -13,6 +13,10 @@ evaluated here with principal-branch complex powers along the U-shaped
 PT-symmetric contour that dips below the x = 0 singularity.  Everything is
 series-based and desk-scale: the contour is kept small enough that the
 Kummer series stays in its convergent regime.
+
+Contour points, 1F1 and the solutions accept a scalar or an array argument
+and work on arrays elementwise (a scalar gives a scalar back); each element
+of a series stops at its own termination rule.
 """
 
 from __future__ import annotations
@@ -72,28 +76,39 @@ class ContourSpec:
 
 
 def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
-    """Kummer's 1F1 by direct Taylor series.
+    """Kummer's 1F1 by direct Taylor series, elementwise over the argument.
 
-    Terminates when a term drops below 1e-16 of the running sum; raises on a
-    beta pole (non-positive integer) or failure to converge within the term
-    cap.
+    Each element terminates when its term drops below 1e-16 of its running
+    sum; raises on a beta pole (non-positive integer) or when an element
+    fails to converge within the term cap.
     """
     beta = complex(beta)
     if abs(beta.imag) < 1e-15 and beta.real <= 0 and abs(beta.real - round(beta.real)) < 1e-12:
         raise KummerError(f"1F1 pole: beta = {beta} is a non-positive integer")
     alpha = complex(alpha)
-    x = complex(argument)
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        term *= (alpha + n - 1) / (beta + n - 1) * x / n
+    x = np.asarray(argument, dtype=complex)
+    result = np.empty(x.shape, dtype=complex)
+    out = result.reshape(-1)
+    live = np.arange(out.size)  # flat indices of elements still summing
+    xs = x.reshape(-1)
+    total = np.ones(out.size, dtype=complex)
+    term = np.ones(out.size, dtype=complex)
+    n = 0
+    while live.size:
+        n += 1
+        if n > SERIES_MAX_TERMS:
+            raise KummerError(
+                f"1F1 series did not converge within {SERIES_MAX_TERMS} terms "
+                f"(alpha={alpha}, beta={beta}, x={complex(xs[0])})"
+            )
+        term *= (alpha + n - 1) / (beta + n - 1) * xs / n
         total += term
-        if abs(term) <= 1e-16 * abs(total):
-            return total
-    raise KummerError(
-        f"1F1 series did not converge within {SERIES_MAX_TERMS} terms "
-        f"(alpha={alpha}, beta={beta}, x={x})"
-    )
+        done = np.abs(term) <= 1e-16 * np.abs(total)
+        if np.count_nonzero(done):
+            out[live[done]] = total[done]
+            keep = ~done
+            live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
+    return result[()]
 
 
 def contour_point(epsilon: float, s: float) -> complex:
@@ -104,12 +119,12 @@ def contour_point(epsilon: float, s: float) -> complex:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    s = np.asarray(s, dtype=float)
     joint = 0.5 * np.pi * epsilon
-    if s < -joint:
-        return -1j * (s + joint) - epsilon
-    if s > joint:
-        return 1j * (s - joint) + epsilon
-    return epsilon * np.exp(1j * (s / epsilon + 1.5 * np.pi))
+    arc = epsilon * np.exp(1j * (s / epsilon + 1.5 * np.pi))
+    x = np.where(s < -joint, -1j * (s + joint) - epsilon,
+                 np.where(s > joint, 1j * (s - joint) + epsilon, arc))
+    return x[()]
 
 
 def build_contour(epsilon: float, s_min: float, s_max: float, n_samples: int) -> ContourSpec:
@@ -119,49 +134,41 @@ def build_contour(epsilon: float, s_min: float, s_max: float, n_samples: int) ->
     if not s_min < s_max:
         raise ValueError(f"need s_min < s_max, got [{s_min}, {s_max}]")
     svals = np.linspace(s_min, s_max, n_samples)
-    samples = [(float(s), contour_point(epsilon, s)) for s in svals]
+    samples = list(zip(svals.tolist(), contour_point(epsilon, svals)))
     return ContourSpec(epsilon=float(epsilon), samples=samples)
 
 
-def _principal_power(x: complex, p: float) -> complex:
-    return np.exp(p * np.log(complex(x)))
-
-
 def psi_solutions(spec: ContinuumSpec, x: complex) -> Tuple[complex, complex]:
-    """Both independent solutions (Psi_1, Psi_2) at one complex point."""
+    """Both independent solutions (Psi_1, Psi_2) at a point or an array."""
     return psi1_value(spec, x), psi2_value(spec, x)
 
 
-def _check_argument(spec: ContinuumSpec, x: complex) -> complex:
-    arg = 2 * spec.k_wave * complex(x)
-    if abs(arg) > SERIES_ARGUMENT_MAX:
+def _psi(spec: ContinuumSpec, x, power: float, alpha: complex, beta: float) -> complex:
+    """e^{-kx} x^power 1F1(alpha, beta, 2kx) on the principal branch."""
+    x = np.asarray(x, dtype=complex)
+    if np.any(x == 0):
+        raise ValueError("solutions are singular at x = 0")
+    arg = 2 * spec.k_wave * x
+    reach = np.max(np.abs(arg), initial=0.0)
+    if reach > SERIES_ARGUMENT_MAX:
         raise ValueError(
-            f"|2kx| = {abs(arg):.3g} exceeds the series regime "
+            f"|2kx| = {reach:.3g} exceeds the series regime "
             f"({SERIES_ARGUMENT_MAX}); use a smaller contour"
         )
-    return arg
+    f = kummer_1f1(alpha, beta, arg)
+    return (np.exp(-spec.k_wave * x) * np.exp(power * np.log(x)) * f)[()]
 
 
 def psi1_value(spec: ContinuumSpec, x: complex) -> complex:
     """Regular solution e^{-kx} x^{L+1} 1F1(1+L+iZ/(2k), 2L+2, 2kx)."""
-    x = complex(x)
-    if x == 0:
-        raise ValueError("solutions are singular at x = 0")
-    arg = _check_argument(spec, x)
     big_l, z, k = spec.angular, spec.z_charge, spec.k_wave
-    f = kummer_1f1(1 + big_l + 1j * z / (2 * k), 2 * big_l + 2, arg)
-    return np.exp(-k * x) * _principal_power(x, big_l + 1) * f
+    return _psi(spec, x, big_l + 1, 1 + big_l + 1j * z / (2 * k), 2 * big_l + 2)
 
 
 def psi2_value(spec: ContinuumSpec, x: complex) -> complex:
     """Second solution e^{-kx} x^{-L} 1F1(-L+iZ/(2k), -2L, 2kx)."""
-    x = complex(x)
-    if x == 0:
-        raise ValueError("solutions are singular at x = 0")
-    arg = _check_argument(spec, x)
     big_l, z, k = spec.angular, spec.z_charge, spec.k_wave
-    f = kummer_1f1(-big_l + 1j * z / (2 * k), -2 * big_l, arg)
-    return np.exp(-k * x) * _principal_power(x, -big_l) * f
+    return _psi(spec, x, -big_l, -big_l + 1j * z / (2 * k), -2 * big_l)
 
 
 def psi_value(spec: ContinuumSpec, x: complex) -> complex:
@@ -175,65 +182,46 @@ def psi_value(spec: ContinuumSpec, x: complex) -> complex:
     return total
 
 
-def _branch_of(epsilon: float, s: float) -> int:
-    """Branch index 0/1/2, or -1 for a sample at a joint.
-
-    Joint samples sit at x = -+epsilon; the left one lies on the principal
-    branch cut, so stencils touching joints are skipped.
-    """
-    joint = 0.5 * np.pi * epsilon
-    if abs(abs(s) - joint) <= 1e-12 * max(1.0, joint):
-        return -1
-    if s < -joint:
-        return 0
-    if s > joint:
-        return 2
-    return 1
-
-
 def ode_residual_on_contour(spec: ContinuumSpec, contour: ContourSpec) -> float:
     """Max normalized ODE residual of the superposition along the contour.
 
     Second derivatives in x are recovered from centered differences in the
-    path parameter s via the chain rule; stencils crossing a branch joint
-    are skipped because x(s) is not smooth there.  Returns 0 for the zero
-    superposition.
+    path parameter s via the chain rule.  Joint samples sit at x = -+epsilon
+    (the left one on the principal branch cut) and x(s) is not smooth
+    there, so stencils touching a joint or spanning two branches are
+    skipped.  Returns 0 for the zero superposition.
     """
     c1, c2 = spec.superposition
     if c1 == 0 and c2 == 0:
         return 0.0
-    svals = np.array([s for s, _ in contour.samples])
-    if len(svals) < 5:
+    if len(contour.samples) < 5:
         raise ValueError("contour too coarse: need at least 5 samples")
+    svals, xs = map(np.array, zip(*contour.samples))
     ds = np.diff(svals)
     if np.max(ds) - np.min(ds) > 1e-9 * np.max(np.abs(ds)):
         raise ValueError("contour samples must be uniform in s for 3-point stencils")
     h = float(ds[0])
 
-    eps = contour.epsilon
-    xs = np.array([x for _, x in contour.samples])
-    psi = np.array([psi_value(spec, x) for x in xs])
+    psi = psi_value(spec, xs)
     scale = np.max(np.abs(psi))
     if scale == 0:
         return 0.0
 
+    # branch 0/1/2 = left line/arc/right line, -1 = joint sample
+    eps = contour.epsilon
+    joint = 0.5 * np.pi * eps
+    branch = np.where(svals < -joint, 0, np.where(svals > joint, 2, 1))
+    branch[np.abs(np.abs(svals) - joint) <= 1e-12 * max(1.0, joint)] = -1
+    b = branch[1:-1]
+    keep = (b >= 0) & (branch[:-2] == b) & (branch[2:] == b)
+
+    x, p = xs[1:-1], psi[1:-1]
+    psi_s = (psi[2:] - psi[:-2]) / (2 * h)
+    psi_ss = (psi[2:] - 2 * p + psi[:-2]) / (h * h)
+    x_s = np.where(b == 1, 1j * x / eps, np.where(b == 0, -1j, 1j))
+    x_ss = np.where(b == 1, -x / (eps * eps), 0.0)
+    psi_x = psi_s / x_s
+    psi_xx = (psi_ss - psi_x * x_ss) / (x_s * x_s)
     big_l, z, k = spec.angular, spec.z_charge, spec.k_wave
-    worst = 0.0
-    for i in range(1, len(svals) - 1):
-        b = _branch_of(eps, svals[i])
-        if b < 0 or b != _branch_of(eps, svals[i - 1]) or b != _branch_of(eps, svals[i + 1]):
-            continue
-        x = xs[i]
-        psi_s = (psi[i + 1] - psi[i - 1]) / (2 * h)
-        psi_ss = (psi[i + 1] - 2 * psi[i] + psi[i - 1]) / (h * h)
-        if b == 1:
-            x_s = 1j * x / eps
-            x_ss = -x / (eps * eps)
-        else:
-            x_s = -1j if b == 0 else 1j
-            x_ss = 0.0
-        psi_x = psi_s / x_s
-        psi_xx = (psi_ss - psi_x * x_ss) / (x_s * x_s)
-        res = -psi_xx + big_l * (big_l + 1) * psi[i] / (x * x) + 1j * z * psi[i] / x + k * k * psi[i]
-        worst = max(worst, abs(res) / scale)
-    return worst
+    res = -psi_xx + big_l * (big_l + 1) * p / (x * x) + 1j * z * p / x + k * k * p
+    return float(np.max(np.abs(res[keep]), initial=0.0) / scale)

@@ -44,3 +44,42 @@ def n_real_brute(n: int, a: float, z: float = -1.0, tol: float = 1e-9) -> int:
     h = np.diag(d) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
     vals = np.linalg.eigvals(h)
     return int(np.sum(np.abs(vals.imag) <= tol * max(1.0, np.abs(vals).max())))
+
+
+def contour_residual_reference(spec, contour, psi) -> float:
+    """Max normalized ODE residual from precomputed psi, one sample at a time.
+
+    The per-point form of the stencil: each interior sample is assigned its
+    branch (left line, arc, right line, or joint within 1e-12*max(1, joint)),
+    and stencils touching a joint or spanning two branches are skipped.
+    """
+    eps = contour.epsilon
+    joint = 0.5 * np.pi * eps
+
+    def branch(s):
+        if abs(abs(s) - joint) <= 1e-12 * max(1.0, joint):
+            return -1
+        return 0 if s < -joint else 2 if s > joint else 1
+
+    svals = [s for s, _ in contour.samples]
+    xs = [x for _, x in contour.samples]
+    h = svals[1] - svals[0]
+    scale = max(abs(p) for p in psi)
+    big_l, z, k = spec.angular, spec.z_charge, spec.k_wave
+    worst = 0.0
+    for i in range(1, len(svals) - 1):
+        b = branch(svals[i])
+        if b < 0 or b != branch(svals[i - 1]) or b != branch(svals[i + 1]):
+            continue
+        x = xs[i]
+        psi_s = (psi[i + 1] - psi[i - 1]) / (2 * h)
+        psi_ss = (psi[i + 1] - 2 * psi[i] + psi[i - 1]) / (h * h)
+        if b == 1:
+            x_s, x_ss = 1j * x / eps, -x / (eps * eps)
+        else:
+            x_s, x_ss = (-1j if b == 0 else 1j), 0.0
+        psi_x = psi_s / x_s
+        psi_xx = (psi_ss - psi_x * x_ss) / (x_s * x_s)
+        res = -psi_xx + big_l * (big_l + 1) * psi[i] / (x * x) + 1j * z * psi[i] / x + k * k * psi[i]
+        worst = max(worst, abs(res) / scale)
+    return worst

@@ -1,7 +1,10 @@
-"""The README's examples: every CLI line runs and every script it names exists."""
+"""The README's examples: every CLI and script line runs, every script it names exists."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 CLI_LINES = re.findall(r"^ptcoulomb .*$", README, re.M)
 SCRIPT_PATHS = sorted(set(re.findall(r"\bscripts/[\w./-]+", README)))
+SCRIPT_LINES = re.findall(r"^python3 scripts/.*$", README, re.M)
 
 
 def test_readme_has_examples():
@@ -28,3 +32,17 @@ def test_cli_example_exits_zero(line, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("path", SCRIPT_PATHS)
 def test_named_script_exists(path):
     assert (ROOT / path).is_file()
+
+
+def test_readme_has_script_examples():
+    assert SCRIPT_LINES
+
+
+@pytest.mark.parametrize("line", SCRIPT_LINES)
+def test_script_example_runs(line, tmp_path):
+    argv = shlex.split(line, comments=True)
+    done = subprocess.run([sys.executable, str(ROOT / argv[1]), *argv[2:]], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
