@@ -43,17 +43,13 @@ class _Output:
         self.header = list(header)
         self.rows = [list(r) for r in rows]
 
-    def add_check(self, name: str, passed: bool, measured, expected, tol) -> bool:
-        self.checks.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "measured": measured,
-                "expected": expected,
-                "tolerance": tol,
-            }
-        )
-        return bool(passed)
+    def check(self, name: str, measured, expected, tol, passed=None) -> None:
+        """Record a check; it passes when |measured - expected| <= tol
+        unless ``passed`` gives the verdict of a non-numeric check."""
+        if passed is None:
+            passed = abs(measured - expected) <= tol
+        self.checks.append({"name": name, "passed": bool(passed), "measured": measured,
+                            "expected": expected, "tolerance": tol})
 
     def render_csv(self) -> str:
         lines = []
@@ -62,11 +58,7 @@ class _Output:
             for row in self.rows:
                 lines.append(",".join(_cell(c) for c in row))
         for chk in self.checks:
-            status = "PASS" if chk["passed"] else "FAIL"
-            lines.append(
-                f"# {status} {chk['name']}: measured={_cell(chk['measured'])} "
-                f"expected={_cell(chk['expected'])} tol={_cell(chk['tolerance'])}"
-            )
+            lines.append(f"# {_verdict(chk)} tol={_cell(chk['tolerance'])}")
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
@@ -115,6 +107,12 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _verdict(chk: dict) -> str:
+    status = "PASS" if chk["passed"] else "FAIL"
+    return (f"{status} {chk['name']}: measured={_cell(chk['measured'])} "
+            f"expected={_cell(chk['expected'])}")
+
+
 def _matrix_rows(m: np.ndarray):
     rows = []
     for i in range(m.shape[0]):
@@ -126,13 +124,12 @@ def _matrix_rows(m: np.ndarray):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_hamiltonian(args, out: _Output) -> int:
+def _cmd_hamiltonian(args, out: _Output) -> None:
     h = lattice.build_coulomb_hamiltonian(args.n, args.a, args.z)
     out.set_table(["i", "j", "re", "im"], _matrix_rows(h.matrix))
-    return 0
 
 
-def _cmd_spectrum(args, out: _Output) -> int:
+def _cmd_spectrum(args, out: _Output) -> None:
     h = lattice.build_coulomb_hamiltonian(args.n, args.a, args.z)
     spec = eigensolve.eigenvalues(h, classification_tolerance=args.tol)
     rows = [
@@ -140,10 +137,9 @@ def _cmd_spectrum(args, out: _Output) -> int:
         for k, (e, f) in enumerate(zip(spec.eigenvalues, spec.real_flags))
     ]
     out.set_table(["index", "re", "im", "real_flag"], rows)
-    return 0
 
 
-def _cmd_sweep(args, out: _Output) -> int:
+def _cmd_sweep(args, out: _Output) -> None:
     table = spectra.sweep(args.n, args.z, args.a_min, args.a_max, args.steps)
     header = ["a"]
     for j in range(args.n):
@@ -157,22 +153,19 @@ def _cmd_sweep(args, out: _Output) -> int:
         row.append(int(table.n_real[i]))
         rows.append(row)
     out.set_table(header, rows)
-    return 0
 
 
-def _cmd_critical(args, out: _Output) -> int:
+def _cmd_critical(args, out: _Output) -> None:
     alpha = spectra.critical_coupling(args.n, args.z, args.tol)
     out.set_table(["alpha", "tolerance"], [[alpha, args.tol]])
-    return 0
 
 
-def _cmd_eps(args, out: _Output) -> int:
+def _cmd_eps(args, out: _Output) -> None:
     pts = spectra.exceptional_points(args.n, args.z, args.a_max, args.tol)
     out.set_table(["index", "a"], [[k + 1, a] for k, a in enumerate(pts)])
-    return 0
 
 
-def _cmd_metric(args, out: _Output) -> int:
+def _cmd_metric(args, out: _Output) -> None:
     h = lattice.build_coulomb_hamiltonian(args.n, args.a, args.z)
     system = eigensolve.eigensystem(h)
     weights = None
@@ -184,21 +177,18 @@ def _cmd_metric(args, out: _Output) -> int:
     herm = float(np.max(np.abs(theta.matrix - theta.matrix.conj().T)))
     res = metrics.dieudonne_residual(h, theta)
     pos, smallest = metrics.is_positive(theta)
-    ok = True
-    ok &= out.add_check("hermiticity_error", herm <= 1e-12, herm, 0.0, 1e-12)
-    ok &= out.add_check("dieudonne_residual", res <= 1e-10, res, 0.0, 1e-10)
-    ok &= out.add_check("positive_definite", pos, smallest, "> 0", None)
-    return 0 if ok else 1
+    out.check("hermiticity_error", herm, 0.0, 1e-12)
+    out.check("dieudonne_residual", res, 0.0, 1e-10)
+    out.check("positive_definite", smallest, "> 0", None, passed=pos)
 
 
-def _cmd_observable(args, out: _Output) -> int:
+def _cmd_observable(args, out: _Output) -> None:
     obs = metrics.n2_observable(args.D, args.b, args.c, args.g, args.a, args.m)
     out.set_table(["i", "j", "re", "im"], _matrix_rows(obs.matrix))
     theta = metrics.n2_metric(1.0, args.m, args.a)
     lam, tm = obs.matrix, theta.matrix
     res = float(np.linalg.norm(lam.conj().T @ tm - tm @ lam))
-    out.add_check("crypto_hermiticity_residual", res <= 1e-12, res, 0.0, 1e-12)
-    return 0 if res <= 1e-12 else 1
+    out.check("crypto_hermiticity_residual", res, 0.0, 1e-12)
 
 
 def _residual_pair(spec, eps: float, span: float):
@@ -212,23 +202,20 @@ def _residual_pair(spec, eps: float, span: float):
     )
 
 
-def _cmd_continuum_check(args, out: _Output) -> int:
+def _cmd_continuum_check(args, out: _Output) -> None:
     spec = continuum.ContinuumSpec(
         angular=args.L, z_charge=args.Z, k_wave=args.k, superposition=(1.0, 0.0)
     )
     eps = args.epsilon
     joint = 0.5 * np.pi * eps
-    ok = True
     for s in (-joint, joint):
         lo = continuum.contour_point(eps, s - 1e-12)
         hi = continuum.contour_point(eps, s + 1e-12)
-        gap = abs(hi - lo)
-        ok &= out.add_check(f"joint_continuity_s={_num(s)}", gap <= 1e-10, gap, 0.0, 1e-10)
+        out.check(f"joint_continuity_s={_num(s)}", abs(hi - lo), 0.0, 1e-10)
     r_coarse, r_fine = _residual_pair(spec, eps, 2.0 * joint)
     ratio = r_coarse / r_fine if r_fine > 0 else float("inf")
-    ok &= out.add_check("residual_fine", r_fine < r_coarse, r_fine, f"< {r_coarse}", None)
-    ok &= out.add_check("convergence_ratio", ratio > 2.5, ratio, "~4 (second order)", None)
-    return 0 if ok else 1
+    out.check("residual_fine", r_fine, f"< {r_coarse}", None, passed=r_fine < r_coarse)
+    out.check("convergence_ratio", ratio, "~4 (second order)", None, passed=ratio > 2.5)
 
 
 # ---------------------------------------------------------------- verify
@@ -240,7 +227,7 @@ def _verify_paper_n4(out: _Output) -> None:
         got = eigensolve.characteristic_polynomial(h)
         want = spectra.secular_coefficients_n4(a)
         err = float(np.max(np.abs(got - want)))
-        out.add_check(f"quartic_coefficients_a={_num(a)}", err <= 1e-12, err, 0.0, 1e-12)
+        out.check(f"quartic_coefficients_a={_num(a)}", err, 0.0, 1e-12)
     worst = 0.0
     for a in np.linspace(0.0, 2.0, 50):
         want = spectra.closed_form_spectrum_n4(a)
@@ -250,10 +237,9 @@ def _verify_paper_n4(out: _Output) -> None:
         # greedy nearest matching; robust against tie-order of conjugate pairs
         dev = np.abs(got[spectra._greedy_match(want, got)] - want)
         worst = max(worst, float(dev.max()))
-    out.add_check("closed_form_spectrum_max_dev", worst <= 1e-9, worst, 0.0, 1e-9)
+    out.check("closed_form_spectrum_max_dev", worst, 0.0, 1e-9)
     alpha = spectra.critical_coupling(4, -1.0, 1e-8)
-    ref = 0.75 * np.sqrt(10.0 - 4.0 * np.sqrt(5.0))
-    out.add_check("critical_coupling_n4", abs(alpha - ref) <= 1e-7, alpha, ref, 1e-7)
+    out.check("critical_coupling_n4", alpha, 0.75 * np.sqrt(10.0 - 4.0 * np.sqrt(5.0)), 1e-7)
 
 
 def _verify_paper_n6(out: _Output) -> None:
@@ -262,9 +248,8 @@ def _verify_paper_n6(out: _Output) -> None:
         got = eigensolve.characteristic_polynomial(h)
         want = spectra.secular_coefficients_n6(a)
         err = float(np.max(np.abs(got - want)))
-        out.add_check(f"sextic_coefficients_a={_num(a)}", err <= 1e-11, err, 0.0, 1e-11)
-    alpha = spectra.critical_coupling(6, -1.0, 1e-6)
-    out.add_check("critical_coupling_n6", abs(alpha - 0.589586) <= 1e-4, alpha, 0.589586, 1e-4)
+        out.check(f"sextic_coefficients_a={_num(a)}", err, 0.0, 1e-11)
+    out.check("critical_coupling_n6", spectra.critical_coupling(6, -1.0, 1e-6), 0.589586, 1e-4)
 
 
 def _verify_metrics_n2(out: _Output) -> None:
@@ -281,25 +266,25 @@ def _verify_metrics_n2(out: _Output) -> None:
         worst_eig = max(worst_eig, float(np.max(np.abs(got - want))))
         h = lattice.build_coulomb_hamiltonian(2, a, -1.0)
         worst_res = max(worst_res, metrics.dieudonne_residual(h, theta))
-    out.add_check("n2_eigenvalue_formula", worst_eig <= 1e-12, worst_eig, 0.0, 1e-12)
-    out.add_check("n2_family_dieudonne", worst_res <= 1e-14, worst_res, 0.0, 1e-14)
+    out.check("n2_eigenvalue_formula", worst_eig, 0.0, 1e-12)
+    out.check("n2_family_dieudonne", worst_res, 0.0, 1e-14)
     dim = metrics.dieudonne_solution_dimension(
         lattice.build_coulomb_hamiltonian(2, 0.5, -1.0)
     )
-    out.add_check("n2_solution_dimension", dim == 2, dim, 2, None)
+    out.check("n2_solution_dimension", dim, 2, None, passed=dim == 2)
     for a in (0.0, 0.3, 0.6, 0.9):
         c, _k = metrics.cpt_charge_n2(a)
         invol = float(np.max(np.abs(c @ c - np.eye(2))))
         theta_cpt = c @ lattice.parity(2).matrix
         h = lattice.build_coulomb_hamiltonian(2, a, -1.0)
         res = metrics.dieudonne_residual(h, theta_cpt)
-        out.add_check(f"cpt_involution_a={_num(a)}", invol <= 1e-14, invol, 0.0, 1e-14)
-        out.add_check(f"cpt_metric_dieudonne_a={_num(a)}", res <= 1e-14, res, 0.0, 1e-14)
+        out.check(f"cpt_involution_a={_num(a)}", invol, 0.0, 1e-14)
+        out.check(f"cpt_metric_dieudonne_a={_num(a)}", res, 0.0, 1e-14)
     a = 0.7
     obs = metrics.n2_observable(2.0, 0.0, 0.0, -a, a)
     h = lattice.build_coulomb_hamiltonian(2, a, -1.0)
     dev = float(np.max(np.abs(obs.matrix - h.matrix)))
-    out.add_check("observable_reproduces_hamiltonian", dev == 0.0, dev, 0.0, 0.0)
+    out.check("observable_reproduces_hamiltonian", dev, 0.0, 0.0)
 
 
 def _verify_metrics_n4(out: _Output) -> None:
@@ -309,16 +294,10 @@ def _verify_metrics_n4(out: _Output) -> None:
             got = np.sort(np.linalg.eigvalsh(theta.matrix))
             want = metrics.n4_metric_eigenvalues(a, z)
             err = float(np.max(np.abs(got - want)))
-            out.add_check(
-                f"n4_theta_eigenvalues_a={_num(a)}_z={_num(z)}",
-                err <= 1e-10, err, 0.0, 1e-10,
-            )
+            out.check(f"n4_theta_eigenvalues_a={_num(a)}_z={_num(z)}", err, 0.0, 1e-10)
             h = lattice.build_coulomb_hamiltonian(4, a, z)
             res = metrics.dieudonne_residual(h, theta)
-            out.add_check(
-                f"n4_ansatz_dieudonne_a={_num(a)}_z={_num(z)}",
-                res <= 1e-12, res, 0.0, 1e-12,
-            )
+            out.check(f"n4_ansatz_dieudonne_a={_num(a)}_z={_num(z)}", res, 0.0, 1e-12)
 
 
 def _verify_continuum(out: _Output) -> None:
@@ -328,18 +307,18 @@ def _verify_continuum(out: _Output) -> None:
     for x in np.linspace(0.1, 3.0, 25):
         psi = continuum.psi1_value(spec, x)
         worst = max(worst, abs(psi - np.sinh(k * x) / k))
-    out.add_check("psi1_sinh_identity", worst <= 1e-12, worst, 0.0, 1e-12)
+    out.check("psi1_sinh_identity", worst, 0.0, 1e-12)
     eps = 1.0
     joint = 0.5 * np.pi * eps
     gap = max(
         abs(continuum.contour_point(eps, j + 1e-13) - continuum.contour_point(eps, j - 1e-13))
         for j in (-joint, joint)
     )
-    out.add_check("contour_joint_continuity", gap <= 1e-12, gap, 0.0, 1e-12)
+    out.check("contour_joint_continuity", gap, 0.0, 1e-12)
     gen = continuum.ContinuumSpec(angular=0.25, z_charge=1.0, k_wave=0.5)
     r_c, r_f = _residual_pair(gen, eps, joint)
     ratio = r_c / r_f if r_f > 0 else float("inf")
-    out.add_check("ode_residual_second_order", ratio > 2.5, ratio, "~4", None)
+    out.check("ode_residual_second_order", ratio, "~4", None, passed=ratio > 2.5)
 
 
 _SUITES = {
@@ -351,17 +330,12 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, out: _Output) -> int:
+def _cmd_verify(args, out: _Output) -> None:
     _SUITES[args.suite](out)
     # a JSON document on stdout must be all of stdout
     report = sys.stderr if args.format == "json" and not args.out else sys.stdout
     for chk in out.checks:
-        status = "PASS" if chk["passed"] else "FAIL"
-        report.write(
-            f"{status} {chk['name']}: measured={_cell(chk['measured'])} "
-            f"expected={_cell(chk['expected'])}\n"
-        )
-    return 0 if out.all_passed else 1
+        report.write(_verdict(chk) + "\n")
 
 
 # ---------------------------------------------------------------- parser
@@ -462,15 +436,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     out = _Output(args.command, params)
     try:
-        code = args.func(args, out)
+        args.func(args, out)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if args.command != "verify":
+    if args.command != "verify" or args.out or args.format == "json":
         out.emit(args.format, args.out)
-    elif args.out or args.format == "json":
-        out.emit(args.format, args.out)
-    return code
+    return 0 if out.all_passed else 1
 
 
 if __name__ == "__main__":

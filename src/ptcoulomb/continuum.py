@@ -79,8 +79,8 @@ def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
     """Kummer's 1F1 by direct Taylor series, elementwise over the argument.
 
     Each element terminates when its term drops below 1e-16 of its running
-    sum; raises on a beta pole (non-positive integer) or when an element
-    fails to converge within the term cap.
+    sum; raises on a beta pole (non-positive integer), on an overflowing
+    sum, or when an element fails to converge within the term cap.
     """
     beta = complex(beta)
     if abs(beta.imag) < 1e-15 and beta.real <= 0 and abs(beta.real - round(beta.real)) < 1e-12:
@@ -105,6 +105,10 @@ def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
         total += term
         done = np.abs(term) <= 1e-16 * np.abs(total)
         if np.count_nonzero(done):
+            bad = ~np.isfinite(total[done])  # inf <= 1e-16*inf passes the rule
+            if bad.any():
+                x_bad = complex(xs[done][bad][0])
+                raise KummerError(f"1F1 series overflowed (alpha={alpha}, beta={beta}, x={x_bad})")
             out[live[done]] = total[done]
             keep = ~done
             live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
@@ -174,7 +178,7 @@ def psi2_value(spec: ContinuumSpec, x: complex) -> complex:
 def psi_value(spec: ContinuumSpec, x: complex) -> complex:
     """General solution C1 Psi_1 + C2 Psi_2 of the spec's superposition."""
     c1, c2 = spec.superposition
-    total = 0.0 + 0j
+    total = np.zeros(np.shape(x), dtype=complex)[()]
     if c1 != 0:
         total += c1 * psi1_value(spec, x)
     if c2 != 0:
@@ -191,9 +195,6 @@ def ode_residual_on_contour(spec: ContinuumSpec, contour: ContourSpec) -> float:
     there, so stencils touching a joint or spanning two branches are
     skipped.  Returns 0 for the zero superposition.
     """
-    c1, c2 = spec.superposition
-    if c1 == 0 and c2 == 0:
-        return 0.0
     if len(contour.samples) < 5:
         raise ValueError("contour too coarse: need at least 5 samples")
     svals, xs = map(np.array, zip(*contour.samples))

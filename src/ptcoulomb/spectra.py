@@ -21,11 +21,15 @@ from .lattice import LatticeHamiltonian, _signed_power, _tridiagonal
 #: number of uniform samples in the initial exceptional-point scan
 EP_SCAN_SAMPLES = 512
 
-#: upper edge of the default bisection bracket for the critical coupling
+#: upper edge of the default bracket for the critical coupling
 CRITICAL_BRACKET = 2.0
 
 #: hard cap for bracket auto-expansion
 CRITICAL_BRACKET_MAX = 64.0
+
+#: narrowest coupling bracket that is split: within ~1e-13 of an EP the real
+#: count no longer certifies the side, so finer search tolerances raise
+MIN_BRACKET = 1e-13
 
 #: bytes of one float64 matrix stack per LAPACK call in coupling scans; a
 #: single matrix larger than this is solved on its own
@@ -154,22 +158,18 @@ def _spectra_along(n_points: int, exponent: float, couplings):
 def critical_coupling(
     n_points: int, exponent: float = -1.0, tolerance: float = 1e-8
 ) -> float:
-    """Edge alpha(N) of the reality interval, located by bisection on a.
+    """Edge alpha(N) of the reality interval, located by halving a bracket.
 
-    The predicate "spectrum fully real" is scanned on an initial grid to
-    confirm it is a prefix of the bracket (true up to the edge, false
-    beyond); non-monotone scans raise with the offending subinterval.
-    Returns the lower (certified fully-real) edge of the final bracket.
+    A 65-point scan of n_real must start fully real and never rise, or it
+    raises with the offending subinterval.  The first scan cell where the
+    count falls is halved down to ``tolerance``; returns its lower
+    (certified fully-real) edge.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = n_points
-
-    def fully_real(couplings) -> np.ndarray:
-        return _spectra_along(n, exponent, couplings)[1] == n
-
     hi = CRITICAL_BRACKET
-    while fully_real(hi)[0]:
+    while _spectra_along(n, exponent, hi)[1][0] == n:
         hi *= 2.0
         if hi > CRITICAL_BRACKET_MAX:
             raise RuntimeError(
@@ -177,61 +177,57 @@ def critical_coupling(
                 f"below {CRITICAL_BRACKET_MAX}"
             )
 
-    # monotonicity scan: the predicate must flip exactly once
     grid = np.linspace(0.0, hi, 65)
-    values = fully_real(grid)
-    flips = np.flatnonzero(values[:-1] != values[1:])
-    if len(flips) != 1 or not values[0]:
-        bad = flips[1] if len(flips) > 1 else 0
-        raise RuntimeError(
-            "fully-real predicate is not monotone on the scan grid; offending "
-            f"subinterval [{grid[bad]}, {grid[bad + 1]}]"
-        )
-
-    edge = flips[:1]
-    lo, _ = _bisect(n, exponent, grid[edge], grid[edge + 1], np.array([n]), tolerance)
+    counts = _spectra_along(n, exponent, grid)[1]
+    what = "fully-real predicate is not monotone on the scan grid"
+    if counts[0] != n:
+        raise RuntimeError(f"{what}: n_real = {counts[0]} at a = 0")
+    try:
+        lo, hi, _, _ = _drops(grid, counts)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{what}: {exc}") from None
+    # with c_hi = N - 2 ("some pair has merged") exactly one half stays per round
+    lo, _, _, _ = _refine(n, exponent, lo[:1], hi[:1], np.array([n]), np.array([n - 2]), tolerance)
     return lo[0]
 
 
-def _require_progress(lo, hi, inner, tolerance):
-    # a bracket whose inner points (one row each) all repeat its endpoints
-    # cannot shrink: the tolerance is below the float spacing there
-    stuck = ((inner == lo[:, None]) | (inner == hi[:, None])).all(axis=1)
-    if stuck.any():
-        k = np.flatnonzero(stuck)[0]
-        raise ValueError(
-            f"tolerance {tolerance} is below the float spacing at a = {lo[k]}; "
-            f"bracket [{lo[k]}, {hi[k]}] cannot shrink"
-        )
-
-
-def _bisect(n_points, exponent, lo, hi, c_lo, tolerance):
-    """Bisect every bracket [lo, hi] to where n_real first falls below its
-    c_lo, all brackets in one engine call per round; narrows lo and hi in
-    place and returns them."""
-    active = hi - lo > tolerance
-    while active.any():
-        a, b = lo[active], hi[active]
-        mid = 0.5 * (a + b)
-        _require_progress(a, b, mid[:, None], tolerance)
-        stays = _spectra_along(n_points, exponent, mid)[1] >= c_lo[active]
-        lo[active] = np.where(stays, mid, a)
-        hi[active] = np.where(stays, b, mid)
-        active = hi - lo > tolerance
-    return lo, hi
-
-
 def _drops(edges: np.ndarray, counts: np.ndarray):
-    # (lo, hi, count at lo, drop) of every subinterval of each row of edges
-    # over which n_real falls; a rise anywhere is an error
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    c_lo, c_hi = counts[:, :-1].ravel(), counts[:, 1:].ravel()
+    # (lo, hi, count at lo, count at hi) of every subinterval of edges over
+    # which n_real falls; a rise anywhere is an error
+    lo, hi, c_lo, c_hi = edges[:-1], edges[1:], counts[:-1], counts[1:]
     rising = np.flatnonzero(c_hi > c_lo)
     if rising.size:
         k = rising[0]
         raise RuntimeError(f"n_real increased on [{lo[k]}, {hi[k]}]; non-monotone count")
     fall = c_hi < c_lo
-    return lo[fall], hi[fall], c_lo[fall], (c_lo - c_hi)[fall]
+    return lo[fall], hi[fall], c_lo[fall], c_hi[fall]
+
+
+def _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance):
+    """Halve every bracket [lo, hi] over which n_real falls from c_lo to c_hi
+    down to ``tolerance``, all midpoints in one engine call per round, and
+    keep each half over which the count falls (two mergers split in two).
+    A midpoint count outside [c_hi, c_lo] (the verdict flickers within
+    ~1e-15 of an EP) is clamped into it, so the scan fixes each drop."""
+    while True:
+        wide = hi - lo > tolerance
+        if not wide.any():
+            return lo, hi, c_lo, c_hi
+        a, b, c_a, c_b = lo[wide], hi[wide], c_lo[wide], c_hi[wide]
+        mid = 0.5 * (a + b)
+        stuck = (b - a < MIN_BRACKET) | (mid == a) | (mid == b)
+        if stuck.any():
+            k = np.flatnonzero(stuck)[0]
+            raise ValueError(
+                f"tolerance {tolerance} is below the real-count resolution {MIN_BRACKET} "
+                f"or the float spacing at a = {a[k]}; bracket [{a[k]}, {b[k]}] cannot shrink"
+            )
+        c_mid = np.clip(_spectra_along(n_points, exponent, mid)[1], c_b, c_a)
+        left, right, done = c_mid < c_a, c_b < c_mid, ~wide
+        lo = np.concatenate([lo[done], a[left], mid[right]])
+        hi = np.concatenate([hi[done], mid[left], b[right]])
+        c_lo = np.concatenate([c_lo[done], c_a[left], c_mid[right]])
+        c_hi = np.concatenate([c_hi[done], c_mid[left], c_b[right]])
 
 
 def exceptional_points(
@@ -242,43 +238,20 @@ def exceptional_points(
 ) -> List[float]:
     """Couplings where pairs of real eigenvalues merge and complexify.
 
-    An upward scan of n_real over [0, a_max] is refined by bisection at
-    every drop.  A drop of 2k at a single coupling (the up-down-mirrored
-    simultaneous merger) is reported as k coincident exceptional points,
-    so the returned list always carries one entry per complexified pair.
-    All brackets are refined together: each refinement step solves every
-    pending coupling in one batch.
+    Every drop of an upward scan of n_real over [0, a_max] is a bracket, and
+    all brackets are halved together down to ``tolerance``; one whose count
+    falls in both halves splits in two.  A drop of 2k left in one bracket
+    (the up-down-mirrored simultaneous merger) is reported as k coincident
+    exceptional points: one entry per complexified pair.
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-
-    def n_real(couplings: np.ndarray) -> np.ndarray:
-        return _spectra_along(n_points, exponent, couplings)[1]
-
     grid = np.linspace(0.0, a_max, EP_SCAN_SAMPLES + 1)
-    lo, hi, c_lo, drop = _drops(grid[None], n_real(grid)[None])
-    brackets = []
-    while True:
-        # a drop other than one pair over a resolvable interval is split in
-        # 8 to try to separate its mergers
-        split = (drop != 2) & (hi - lo > tolerance)
-        brackets.append((lo[~split], hi[~split], c_lo[~split], drop[~split]))
-        if not split.any():
-            break
-        sub = np.linspace(lo[split], hi[split], 9, axis=1)
-        _require_progress(lo[split], hi[split], sub[:, 1:-1], tolerance)
-        counts = np.empty(sub.shape, dtype=int)
-        counts[:, 0] = c_lo[split]
-        counts[:, -1] = c_lo[split] - drop[split]
-        counts[:, 1:-1] = n_real(sub[:, 1:-1].ravel()).reshape(-1, 7)
-        lo, hi, c_lo, drop = _drops(sub, counts)
-
-    lo, hi, c_lo, drop = (np.concatenate(col) for col in zip(*brackets))
-    pairs = drop >= 2
-    lo, hi = _bisect(n_points, exponent, lo[pairs], hi[pairs], c_lo[pairs], tolerance)
-    return sorted(np.repeat(0.5 * (lo + hi), drop[pairs] // 2).tolist())
+    lo, hi, c_lo, c_hi = _drops(grid, _spectra_along(n_points, exponent, grid)[1])
+    lo, hi, c_lo, c_hi = _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance)
+    return sorted(np.repeat(0.5 * (lo + hi), (c_lo - c_hi) // 2).tolist())
 
 
 def sweep(

@@ -32,6 +32,7 @@ FUNCTIONS = {
     "psi1_value": lambda x: psi1_value(SPEC, x),
     "psi2_value": lambda x: psi2_value(SPEC, x),
     "psi_value": lambda x: psi_value(SPEC, x),
+    "psi_value_zero": lambda x: psi_value(ContinuumSpec(0.3, 0.8, 0.9, (0.0, 0.0)), x),
 }
 
 
@@ -64,6 +65,12 @@ class TestArrayArguments:
         with pytest.raises(ValueError) as array:
             f(SPEC, xs)
         assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("x", [800.0, -800.0, np.array([0.5, -800.0])])
+    def test_overflowing_series_raises(self, x):
+        # the terms overflow to inf, which the 1e-16 stop rule would accept
+        with pytest.raises(KummerError, match=r"overflowed .*x=\(-?800\+0j\)"):
+            kummer_1f1(1.0, 1.0, x)
 
     def test_non_convergence_names_first_argument(self):
         xs = np.array([0.5, complex(np.nan, 1.0), complex(2.0, np.nan)])

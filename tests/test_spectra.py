@@ -317,6 +317,89 @@ class TestSharedRefinement:
             exceptional_points(4, -1.0, 3.0, 1e-20)
 
 
+class TestRefinementWork:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """[engine calls, matrices solved] through the coupling-axis engine."""
+        counts = [0, 0]
+        engine = spectra._spectra_along
+
+        def spy(n_points, exponent, couplings):
+            counts[0] += 1
+            counts[1] += np.atleast_1d(couplings).size
+            return engine(n_points, exponent, couplings)
+
+        monkeypatch.setattr(spectra, "_spectra_along", spy)
+        return counts
+
+    def test_critical_coupling_halves_one_bracket(self, work):
+        # 1 bracket check + the 65-point scan + 22 single-midpoint rounds
+        critical_coupling(10, -1.0, 1e-8)
+        assert work == [24, 88]
+
+    def test_exceptional_points_beat_the_eight_way_split(self, work):
+        # the scan-then-split-then-bisect search made 19 calls on 596 matrices
+        exceptional_points(10, -1.0, 3.0, 1e-6)
+        assert work[0] < 19 and work[1] < 596
+
+
+def fold_couplings(n, z, seeds):
+    """Couplings of the folds p = dp/dlambda = 0 of p(lambda, a) = det(H(a) -
+    lambda), solved at 40 digits from each seed coupling and the midpoint of
+    the closest eigenvalue pair there.  p and dp/dlambda come from the
+    three-term recurrence; both are real for real lambda and a."""
+    mp = pytest.importorskip("mpmath")
+    folds = []
+    with mp.workdps(40):
+        s = [mp.sign(k) * mp.power(abs(k), z) for k in range(1 - n, n, 2)]
+
+        def fold(a, lam):
+            p0, p1, q0, q1 = mp.mpc(1), 2 + 1j * a * s[0] - lam, mp.mpc(0), mp.mpc(-1)
+            for sk in s[1:]:
+                d = 2 + 1j * a * sk - lam
+                p0, p1, q0, q1 = p1, d * p1 - p0, q1, d * q1 - p1 - q0
+            return [p1.real, q1.real]
+
+        for a0 in seeds:
+            vals = np.sort(np.linalg.eigvals(build_coulomb_hamiltonian(n, a0, z).matrix))
+            k = int(np.argmin(np.abs(np.diff(vals))))
+            lam0 = 0.5 * (vals[k] + vals[k + 1]).real
+            a, _ = mp.findroot(fold, (mp.mpf(a0), mp.mpf(lam0)))
+            assert abs(a - a0) <= 1e-5
+            folds.append(a)
+    return sorted(folds)
+
+
+class TestFoldOracle:
+    @pytest.fixture(scope="class", params=[4, 6, 10, 16, 24])
+    def folds(self, request):
+        n = request.param
+        return n, fold_couplings(n, -1.0, exceptional_points(n, -1.0, 3.0, 1e-6))
+
+    def test_n4_fold_is_the_closed_form_edge(self):
+        mp = pytest.importorskip("mpmath")
+        got = fold_couplings(4, -1.0, exceptional_points(4, -1.0, 3.0, 1e-6))
+        with mp.workdps(40):
+            exact = mp.mpf(3) / 4 * mp.sqrt(10 - 4 * mp.sqrt(5))
+            assert all(abs(a - exact) <= mp.mpf(10) ** -30 for a in got)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    def test_searches_land_within_tolerance(self, folds, tol):
+        n, want = folds
+        got = exceptional_points(n, -1.0, 3.0, tol)
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+        assert abs(critical_coupling(n, -1.0, tol) - want[0]) <= tol
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 16, 24])
+    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
+    def test_tolerances_below_the_floor_raise(self, n, tol):
+        with pytest.raises(ValueError, match="float spacing at a = "):
+            exceptional_points(n, -1.0, 3.0, tol)
+        with pytest.raises(ValueError, match="float spacing at a = "):
+            critical_coupling(n, -1.0, tol)
+
+
 class TestGreedyMatch:
     def test_ties_go_to_the_lowest_unused_index(self):
         vals = np.array([1.0, -1.0, 1j, 2.0])
