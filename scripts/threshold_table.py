@@ -17,7 +17,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--z", type=float, default=-1.0, help="potential exponent")
     ap.add_argument("--n-max", type=int, default=12, help="largest matrix size")
-    ap.add_argument("--tol", type=float, default=1e-7, help="bisection tolerance")
+    ap.add_argument("--tol", type=float, default=1e-7, help="tolerance of alpha(N)")
     args = ap.parse_args()
 
     print(f"{'N':>4} {'alpha(N)':>14} {'n_exceptional':>14}")

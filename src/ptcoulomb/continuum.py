@@ -79,14 +79,20 @@ def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
     """Kummer's 1F1 by direct Taylor series, elementwise over the argument.
 
     Each element terminates when its term drops below 1e-16 of its running
-    sum; raises on a beta pole (non-positive integer), on an overflowing
-    sum, or when an element fails to converge within the term cap.
+    sum; raises on a beta pole (non-positive integer), on a non-finite
+    argument, on an overflowing sum, or when an element fails to converge
+    within the term cap.
     """
     beta = complex(beta)
     if abs(beta.imag) < 1e-15 and beta.real <= 0 and abs(beta.real - round(beta.real)) < 1e-12:
         raise KummerError(f"1F1 pole: beta = {beta} is a non-positive integer")
     alpha = complex(alpha)
     x = np.asarray(argument, dtype=complex)
+    bad = ~np.isfinite(x)
+    if bad.any():  # a NaN term never meets the stop rule: it would run to the cap
+        raise KummerError(
+            f"1F1 argument is not finite (alpha={alpha}, beta={beta}, x={complex(x[bad][0])})"
+        )
     result = np.empty(x.shape, dtype=complex)
     out = result.reshape(-1)
     live = np.arange(out.size)  # flat indices of elements still summing
@@ -94,24 +100,26 @@ def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
     total = np.ones(out.size, dtype=complex)
     term = np.ones(out.size, dtype=complex)
     n = 0
-    while live.size:
-        n += 1
-        if n > SERIES_MAX_TERMS:
-            raise KummerError(
-                f"1F1 series did not converge within {SERIES_MAX_TERMS} terms "
-                f"(alpha={alpha}, beta={beta}, x={complex(xs[0])})"
-            )
-        term *= (alpha + n - 1) / (beta + n - 1) * xs / n
-        total += term
-        done = np.abs(term) <= 1e-16 * np.abs(total)
-        if np.count_nonzero(done):
-            bad = ~np.isfinite(total[done])  # inf <= 1e-16*inf passes the rule
-            if bad.any():
-                x_bad = complex(xs[done][bad][0])
-                raise KummerError(f"1F1 series overflowed (alpha={alpha}, beta={beta}, x={x_bad})")
-            out[live[done]] = total[done]
-            keep = ~done
-            live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
+    # an overflowing term is caught below and raised as KummerError, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            n += 1
+            if n > SERIES_MAX_TERMS:
+                raise KummerError(
+                    f"1F1 series did not converge within {SERIES_MAX_TERMS} terms "
+                    f"(alpha={alpha}, beta={beta}, x={complex(xs[0])})"
+                )
+            term *= (alpha + n - 1) / (beta + n - 1) * xs / n
+            total += term
+            done = np.abs(term) <= 1e-16 * np.abs(total)
+            if np.count_nonzero(done):
+                bad = ~np.isfinite(total[done])  # inf <= 1e-16*inf passes the rule
+                if bad.any():
+                    x_bad = complex(xs[done][bad][0])
+                    raise KummerError(f"1F1 series overflowed (alpha={alpha}, beta={beta}, x={x_bad})")
+                out[live[done]] = total[done]
+                keep = ~done
+                live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
     return result[()]
 
 

@@ -6,6 +6,12 @@ eigenvalues merge and complexify at a finite set of exceptional points as
 |a| grows.  Because of the up-down symmetry eps -> 4 - conj(eps), mergers
 happen in mirrored pairs; at N=4 the bottom and top mergers coincide at the
 same coupling, so the spectrum jumps from fully real to fully complex there.
+
+At a merger two real roots of p(lam, a) = det(H(a) - lam) meet, so it is a
+fold: a root of p = dp/dlam = 0.  Both coupling searches solve for it by
+Newton on the three-term recurrence, with no eigensolve, and accept a fold
+only when one dense solve of the real count on both sides of it certifies
+it; halving a bracket of the count is the fallback.
 """
 
 from __future__ import annotations
@@ -155,19 +161,88 @@ def _spectra_along(n_points: int, exponent: float, couplings):
     return vals, np.count_nonzero(np.abs(vals.imag) <= tol[:, None], axis=1)
 
 
+def _fold_terms(n_points: int, exponent: float, a, lam):
+    """p, dp/dlam, d2p/dlam2, dp/da and d2p/dlam da of p(lam, a) = det(H(a) - lam)
+    at arrays of couplings a and levels lam of one shape.
+
+    The continuant recurrence p_k = (d_k - lam) p_{k-1} - p_{k-2}, differentiated
+    term by term, costs O(N) array steps and no eigensolve.  PT symmetry makes
+    all five real for real (lam, a).  The continuants grow like 4^N, so every
+    8 sites they are divided by one positive factor per point: the returned
+    values carry that factor, which the fold equations p = dp/dlam = 0 and
+    their Newton step do not see.
+    """
+    s = 1j * _signed_power(n_points, exponent)
+    a, lam = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(lam, dtype=float))
+    diag = (2.0 - lam) + np.multiply.outer(s, a)  # d_k - lam, one row per site
+    zero = np.zeros(a.shape, dtype=complex)
+    prev, cur = [zero] * 5, [zero + 1.0] + [zero] * 4
+    for k, (e, u) in enumerate(zip(diag, s)):
+        p, pl, pll, pa, pla = cur
+        step = (e * p, e * pl - p, e * pll - 2.0 * pl, e * pa + u * p, e * pla + u * pl - pa)
+        prev, cur = cur, [x - y for x, y in zip(step, prev)]
+        if k % 8 == 7:
+            # never 0: p_k = p_{k-1} = 0 would force p_0 = 0
+            scale = np.abs(cur[0]) + np.abs(prev[0])
+            prev, cur = [x / scale for x in prev], [x / scale for x in cur]
+    return tuple(x.real for x in cur)
+
+
+def _fold_newton(n_points: int, exponent: float, a, lam) -> np.ndarray:
+    """Couplings of the folds p = dp/dlam = 0, where a real pair merges,
+    reached by Newton in (t = a^2, lam) from couplings a > 0 and levels lam.
+
+    p is even in a, so smooth in t; with dp/dlam = 0 held, the t step is a
+    Newton step on the squared pair gap, which is near-linear in t.  A seed
+    that fails ends as NaN or at another fold: callers certify every result
+    by the dense real count.
+    """
+    t, lam = np.square(np.asarray(a, dtype=float)), np.asarray(lam, dtype=float)
+    with np.errstate(all="ignore"):  # a diverging seed turns NaN, which is rejected later
+        for _ in range(30):
+            a = np.sqrt(t)
+            p, pl, pll, pa, pla = _fold_terms(n_points, exponent, a, lam)
+            pt, plt = pa / (2.0 * a), pla / (2.0 * a)
+            det = pt * pll - pl * plt
+            dt = (pl * pl - p * pll) / det
+            lam = lam + (p * plt - pl * pt) / det
+            t = np.where(t + dt > 0, t + dt, 0.25 * t)
+            # convergence is quadratic: a step below 1e-12 leaves only rounding
+            if np.all(np.abs(dt) <= 1e-12 * t):
+                break
+    return np.sqrt(t)
+
+
 def critical_coupling(
     n_points: int, exponent: float = -1.0, tolerance: float = 1e-8
 ) -> float:
-    """Edge alpha(N) of the reality interval, located by halving a bracket.
+    """Edge alpha(N) of the reality interval, returned within ``tolerance``
+    below it.
 
-    A 65-point scan of n_real must start fully real and never rise, or it
-    raises with the offending subinterval.  The first scan cell where the
-    count falls is halved down to ``tolerance``; returns its lower
-    (certified fully-real) edge.
+    Fold Newton follows the ground pair (levels 0 and 1) from its a = 0
+    values 2 - 2 cos(k pi/(N+1)) to the coupling where it merges, and
+    returns r = fold - tolerance/2 (not below 0) once one dense solve of r
+    and r + tolerance certifies n_real(r) = N > n_real(r + tolerance).  If
+    the certificate fails, or ``tolerance`` is below ``MIN_BRACKET``, a
+    bracket search takes over: a 65-point scan of n_real must start fully
+    real and never rise, or it raises with the offending subinterval, and
+    the first scan cell where the count falls is halved down to
+    ``tolerance``; its lower (certified fully-real) edge is returned.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = n_points
+    if tolerance >= MIN_BRACKET:
+        level = 2.0 - 2.0 * np.cos(np.array([1.0, 2.0]) * np.pi / (n + 1))
+        # start just above a = 0, where the t step is still defined
+        start = 1e-3 * (level[1] - level[0]) / np.abs(_signed_power(n, exponent)).max()
+        fold = float(_fold_newton(n, exponent, start, level.mean()))
+        if np.isfinite(fold):
+            r = max(fold - 0.5 * tolerance, 0.0)
+            counts = _spectra_along(n, exponent, [r, r + tolerance])[1]
+            if counts[0] == n > counts[1]:
+                return r
+
     hi = CRITICAL_BRACKET
     while _spectra_along(n, exponent, hi)[1][0] == n:
         hi *= 2.0
@@ -230,6 +305,38 @@ def _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance):
         c_hi = np.concatenate([c_hi[done], c_mid[left], c_b[right]])
 
 
+def _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance):
+    """Which brackets [lo, hi], over which n_real falls from c_lo to c_hi,
+    are certified, and the folds found in them; ``rows`` are the eigenvalues
+    at lo.
+
+    Fold Newton starts from the (c_lo - c_hi)/2 closest adjacent real pairs
+    at lo, all brackets in one batch.  A bracket is certified when its folds
+    lie in it within ``tolerance`` of each other and one dense solve of all
+    brackets counts c_lo at the lowest fold - tolerance and c_hi at the
+    highest fold + tolerance.
+    """
+    # the real form gives real eigenvalues an imaginary part of exactly 0
+    real = rows.imag == 0
+    gap = np.where(real[:, 1:] & real[:, :-1], np.diff(rows.real, axis=1), np.inf)
+    b, rank = np.nonzero(np.arange(gap.shape[1]) < ((c_lo - c_hi) // 2)[:, None])
+    j = np.argsort(gap, axis=1)[b, rank]
+    seed = 0.5 * (rows[b, j] + rows[b, j + 1]).real
+    folds = _fold_newton(n_points, exponent, 0.5 * (lo + hi)[b], seed)
+    folds[~np.isfinite(folds)] = -1.0  # a failed seed lands below every bracket
+    first, last = np.full(lo.size, np.inf), np.full(lo.size, -np.inf)
+    np.minimum.at(first, b, folds)
+    np.maximum.at(last, b, folds)
+    ok = np.flatnonzero((lo <= first) & (first <= last) & (last <= hi) & (last - first <= tolerance))
+    if ok.size:
+        edges = np.concatenate([first[ok] - tolerance, last[ok] + tolerance])
+        counts = _spectra_along(n_points, exponent, edges)[1]
+        ok = ok[(counts[:ok.size] == c_lo[ok]) & (counts[ok.size:] == c_hi[ok])]
+    certified = np.zeros(lo.size, dtype=bool)
+    certified[ok] = True
+    return certified, folds[certified[b]]
+
+
 def exceptional_points(
     n_points: int,
     exponent: float = -1.0,
@@ -238,20 +345,30 @@ def exceptional_points(
 ) -> List[float]:
     """Couplings where pairs of real eigenvalues merge and complexify.
 
-    Every drop of an upward scan of n_real over [0, a_max] is a bracket, and
-    all brackets are halved together down to ``tolerance``; one whose count
-    falls in both halves splits in two.  A drop of 2k left in one bracket
-    (the up-down-mirrored simultaneous merger) is reported as k coincident
-    exceptional points: one entry per complexified pair.
+    Every drop of an upward scan of n_real over [0, a_max] is a bracket.  In
+    a bracket where the count falls by 2k, fold Newton starts from the k
+    closest real pairs at its lower edge, and one dense solve of all
+    brackets certifies the folds (see ``_certified_folds``).  A bracket that
+    fails, or every bracket when ``tolerance`` is below ``MIN_BRACKET``, is
+    halved down to ``tolerance`` instead and reported at its midpoint; one
+    whose count falls in both halves splits in two.  A drop of 2k at one
+    coupling (the up-down-mirrored simultaneous merger) is reported as k
+    coincident exceptional points: one entry per complexified pair.
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     grid = np.linspace(0.0, a_max, EP_SCAN_SAMPLES + 1)
-    lo, hi, c_lo, c_hi = _drops(grid, _spectra_along(n_points, exponent, grid)[1])
+    vals, counts = _spectra_along(n_points, exponent, grid)
+    lo, hi, c_lo, c_hi = _drops(grid, counts)
+    found = np.empty(0)
+    if tolerance >= MIN_BRACKET:
+        rows = vals[np.searchsorted(grid, lo)]
+        done, found = _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance)
+        lo, hi, c_lo, c_hi = lo[~done], hi[~done], c_lo[~done], c_hi[~done]
     lo, hi, c_lo, c_hi = _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance)
-    return sorted(np.repeat(0.5 * (lo + hi), (c_lo - c_hi) // 2).tolist())
+    return sorted(np.concatenate([found, np.repeat(0.5 * (lo + hi), (c_lo - c_hi) // 2)]).tolist())
 
 
 def sweep(

@@ -286,6 +286,14 @@ class TestAlphaPlateau:
             assert 4.30 <= value <= 4.45
         assert abs(scaled[64] - scaled[100]) <= 0.05
 
+    def test_alpha_times_n_levels_off_at_large_n(self):
+        sizes = (64, 100, 200, 256)
+        scaled = [critical_coupling(n, -1.0, 1e-8) * n for n in sizes]
+        for value in scaled:
+            assert 4.30 <= value <= 4.45
+        # alpha*N still creeps up (4.359 at 64, 4.414 at 256): bound neighbouring sizes
+        assert all(abs(b - a) <= 0.05 for a, b in zip(scaled, scaled[1:]))
+
 
 class TestSharedRefinement:
     @pytest.mark.parametrize("n", [4, 6, 10])
@@ -333,14 +341,75 @@ class TestRefinementWork:
         return counts
 
     def test_critical_coupling_halves_one_bracket(self, work):
-        # 1 bracket check + the 65-point scan + 22 single-midpoint rounds
+        # the fold solve needs no eigensolve; one call on r and r + tol certifies it
         critical_coupling(10, -1.0, 1e-8)
-        assert work == [24, 88]
+        assert work == [1, 2]
 
     def test_exceptional_points_beat_the_eight_way_split(self, work):
         # the scan-then-split-then-bisect search made 19 calls on 596 matrices
         exceptional_points(10, -1.0, 3.0, 1e-6)
         assert work[0] < 19 and work[1] < 596
+
+    def test_exceptional_points_scan_then_one_certificate(self, work):
+        # the 513-point scan, then fold -+ tol for each of the 3 brackets in one call
+        pts = exceptional_points(10, -1.0, 3.0, 1e-6)
+        assert len(pts) == 5
+        assert work == [2, spectra.EP_SCAN_SAMPLES + 1 + 2 * 3]
+
+
+class TestFoldCertificate:
+    """A fold the dense count does not certify hands its search to the
+    bracket halving, which still returns within tolerance."""
+
+    @staticmethod
+    def break_fold_solve(monkeypatch, shift):
+        newton = spectra._fold_newton
+        monkeypatch.setattr(spectra, "_fold_newton", lambda *args: newton(*args) + shift)
+
+    @pytest.mark.parametrize("shift", [1e-3, -1e-3, float("nan")])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_critical_coupling_falls_back(self, monkeypatch, n, shift):
+        tol = 1e-8
+        want = critical_coupling(n, -1.0, tol)
+        self.break_fold_solve(monkeypatch, shift)
+        got = critical_coupling(n, -1.0, tol)
+        assert abs(got - want) <= tol
+        assert n_real_brute(n, got) == n and n_real_brute(n, got + tol) < n
+
+    @pytest.mark.parametrize("shift", [1e-3, float("nan")])
+    def test_exceptional_points_fall_back(self, monkeypatch, shift):
+        tol = 1e-6
+        want = exceptional_points(10, -1.0, 3.0, tol)
+        self.break_fold_solve(monkeypatch, shift)
+        got = exceptional_points(10, -1.0, 3.0, tol)
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+
+    def test_one_failed_bracket_is_refined_alone(self, monkeypatch):
+        # only the fold of the last bracket (the single pair near 0.774) is off
+        tol = 1e-6
+        want = exceptional_points(10, -1.0, 3.0, tol)
+        newton = spectra._fold_newton
+        monkeypatch.setattr(
+            spectra, "_fold_newton", lambda *args: newton(*args) + np.where(args[2] > 0.7, 1e-3, 0)
+        )
+        got = exceptional_points(10, -1.0, 3.0, tol)
+        assert got[:4] == want[:4]
+        assert abs(got[4] - want[4]) <= tol and got[4] != want[4]
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 24, 64])
+    @pytest.mark.parametrize("z", [-1.2, -1.0, -0.8, -0.5, 0.5])
+    def test_fold_path_agrees_with_the_halving(self, monkeypatch, n, z):
+        tol = 1e-8
+        calls = []
+        engine = spectra._spectra_along
+        monkeypatch.setattr(
+            spectra, "_spectra_along", lambda *args: calls.append(args) or engine(*args)
+        )
+        fold = critical_coupling(n, z, tol)
+        assert len(calls) == 1  # certified, no fallback
+        self.break_fold_solve(monkeypatch, float("nan"))
+        assert abs(critical_coupling(n, z, tol) - fold) <= tol
 
 
 def fold_couplings(n, z, seeds):
