@@ -8,10 +8,14 @@ happen in mirrored pairs; at N=4 the bottom and top mergers coincide at the
 same coupling, so the spectrum jumps from fully real to fully complex there.
 
 At a merger two real roots of p(lam, a) = det(H(a) - lam) meet, so it is a
-fold: a root of p = dp/dlam = 0.  Both coupling searches solve for it by
-Newton on the three-term recurrence, with no eigensolve, and accept a fold
-only when one dense solve of the real count on both sides of it certifies
-it; halving a bracket of the count is the fallback.
+fold: a root of p = dp/dlam = 0.  For the Coulomb family, levels 2m and
+2m+1 of the a = 0 spectrum 2 - 2 cos(k pi/(N+1)) merge with each other, and
+their mirror pair at the same coupling.  Both coupling searches start Newton
+on the three-term recurrence from those closed-form pairs, with no
+eigensolve and no scan, and accept the folds only when one dense solve of
+the real count around each of them certifies them; a scan of the count and
+halving of its brackets is the fallback, which also catches families whose
+pairs merge otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ CRITICAL_BRACKET_MAX = 64.0
 #: narrowest coupling bracket that is split: within ~1e-13 of an EP the real
 #: count no longer certifies the side, so finer search tolerances raise
 MIN_BRACKET = 1e-13
+
+#: longest lam step of fold Newton from a level pair, as a fraction of the
+#: pair's a = 0 spacing: a longer step could reach a neighbouring pair
+FOLD_STEP = 0.25
 
 #: bytes of one float64 matrix stack per LAPACK call in coupling scans; a
 #: single matrix larger than this is solved on its own
@@ -188,9 +196,10 @@ def _fold_terms(n_points: int, exponent: float, a, lam):
     return tuple(x.real for x in cur)
 
 
-def _fold_newton(n_points: int, exponent: float, a, lam) -> np.ndarray:
+def _fold_newton(n_points: int, exponent: float, a, lam, max_step=np.inf) -> np.ndarray:
     """Couplings of the folds p = dp/dlam = 0, where a real pair merges,
-    reached by Newton in (t = a^2, lam) from couplings a > 0 and levels lam.
+    reached by Newton in (t = a^2, lam) from couplings a > 0 and levels lam;
+    no lam step is longer than ``max_step``.
 
     p is even in a, so smooth in t; with dp/dlam = 0 held, the t step is a
     Newton step on the squared pair gap, which is near-linear in t.  A seed
@@ -205,12 +214,27 @@ def _fold_newton(n_points: int, exponent: float, a, lam) -> np.ndarray:
             pt, plt = pa / (2.0 * a), pla / (2.0 * a)
             det = pt * pll - pl * plt
             dt = (pl * pl - p * pll) / det
-            lam = lam + (p * plt - pl * pt) / det
+            lam = lam + np.clip((p * plt - pl * pt) / det, -max_step, max_step)
             t = np.where(t + dt > 0, t + dt, 0.25 * t)
             # convergence is quadratic: a step below 1e-12 leaves only rounding
             if np.all(np.abs(dt) <= 1e-12 * t):
                 break
     return np.sqrt(t)
+
+
+def _pair_seeds(n_points: int, exponent: float, pairs):
+    """Start couplings, levels and lam step limits of fold Newton on the
+    level pairs (2m, 2m+1), m in ``pairs``, counted from the bottom.
+
+    At a = 0 the levels are 2 - 2 cos(k pi/(N+1)), k = 1..N.  Pair m
+    (k = 2m+1, 2m+2) starts from their midpoint just above a = 0, where the
+    t step is still defined, and no lam step exceeds ``FOLD_STEP`` times
+    their spacing.
+    """
+    k = 2.0 * np.asarray(pairs, dtype=float) + 1.0
+    lower, upper = 2.0 - 2.0 * np.cos(np.array([k, k + 1.0]) * np.pi / (n_points + 1))
+    start = 1e-3 * (upper - lower) / np.abs(_signed_power(n_points, exponent)).max()
+    return start, 0.5 * (lower + upper), FOLD_STEP * (upper - lower)
 
 
 def critical_coupling(
@@ -219,8 +243,8 @@ def critical_coupling(
     """Edge alpha(N) of the reality interval, returned within ``tolerance``
     below it.
 
-    Fold Newton follows the ground pair (levels 0 and 1) from its a = 0
-    values 2 - 2 cos(k pi/(N+1)) to the coupling where it merges, and
+    Fold Newton follows the ground pair (levels 0 and 1, ``_pair_seeds``)
+    from its a = 0 values to the coupling where it merges, and
     returns r = fold - tolerance/2 (not below 0) once one dense solve of r
     and r + tolerance certifies n_real(r) = N > n_real(r + tolerance).  If
     the certificate fails, or ``tolerance`` is below ``MIN_BRACKET``, a
@@ -233,10 +257,7 @@ def critical_coupling(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     n = n_points
     if tolerance >= MIN_BRACKET:
-        level = 2.0 - 2.0 * np.cos(np.array([1.0, 2.0]) * np.pi / (n + 1))
-        # start just above a = 0, where the t step is still defined
-        start = 1e-3 * (level[1] - level[0]) / np.abs(_signed_power(n, exponent)).max()
-        fold = float(_fold_newton(n, exponent, start, level.mean()))
+        fold = float(_fold_newton(n, exponent, *_pair_seeds(n, exponent, 0)))
         if np.isfinite(fold):
             r = max(fold - 0.5 * tolerance, 0.0)
             counts = _spectra_along(n, exponent, [r, r + tolerance])[1]
@@ -337,6 +358,36 @@ def _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance):
     return certified, folds[certified[b]]
 
 
+def _seeded_folds(n_points, exponent, a_max, tolerance):
+    """Exceptional points in [0, a_max] from fold Newton on the lower-half
+    level pairs m = 0 .. ceil(N/4) - 1, all in one batch, or None when one
+    dense solve does not certify them.
+
+    Pair m and its mirror (N-2-2m, N-1-2m) merge at one coupling (the chiral
+    symmetry S H S^-1 = 4 - H), so each fold counts twice, except the middle
+    pair's when N/2 is odd.  The list is certified when every fold is finite
+    and n_real, at each fold inside [0, a_max] -+ ``tolerance`` and at a_max,
+    equals N - 2 (pairs merged at folds below that point).  If n_real never
+    rises (as the scan also assumes between its samples), each fold's pairs
+    then merge within ``tolerance`` of it and no others merge below a_max;
+    two seeds that end on one fold fail the count.
+    """
+    n = n_points
+    pairs = np.arange((n + 3) // 4)
+    folds = _fold_newton(n, exponent, *_pair_seeds(n, exponent, pairs))
+    if not np.all(np.isfinite(folds)):
+        return None
+    order = np.argsort(folds)
+    inside = order[folds[order] < a_max]
+    folds, mult = folds[inside], np.where(4 * pairs == n - 2, 1, 2)[inside]
+    left = n - 2 * np.concatenate([[0], np.cumsum(mult)])
+    edges = np.concatenate([folds - tolerance, folds + tolerance, [a_max]])
+    counts = _spectra_along(n, exponent, edges)[1]
+    if np.array_equal(counts, np.concatenate([left[:-1], left[1:], left[-1:]])):
+        return np.repeat(folds, mult).tolist()
+    return None
+
+
 def exceptional_points(
     n_points: int,
     exponent: float = -1.0,
@@ -345,20 +396,30 @@ def exceptional_points(
 ) -> List[float]:
     """Couplings where pairs of real eigenvalues merge and complexify.
 
-    Every drop of an upward scan of n_real over [0, a_max] is a bracket.  In
-    a bracket where the count falls by 2k, fold Newton starts from the k
-    closest real pairs at its lower edge, and one dense solve of all
-    brackets certifies the folds (see ``_certified_folds``).  A bracket that
-    fails, or every bracket when ``tolerance`` is below ``MIN_BRACKET``, is
-    halved down to ``tolerance`` instead and reported at its midpoint; one
-    whose count falls in both halves splits in two.  A drop of 2k at one
-    coupling (the up-down-mirrored simultaneous merger) is reported as k
-    coincident exceptional points: one entry per complexified pair.
+    Fold Newton starts from every lower-half level pair at a = 0, and one
+    dense solve certifies the folds: n_real at each fold -+ ``tolerance``
+    and at a_max must step down from N by 2 per merged pair, under the
+    assumption that n_real never rises (see ``_seeded_folds``).  Only when
+    that fails, or ``tolerance`` is below ``MIN_BRACKET``, does the scan
+    run: every drop of an upward scan of n_real over [0, a_max] is a
+    bracket, and a rise raises.  In a bracket where the count falls by 2k,
+    fold Newton starts from the k closest real pairs at its lower edge, and
+    one dense solve of all brackets certifies the folds (see
+    ``_certified_folds``).  A bracket that fails, or every bracket when
+    ``tolerance`` is below ``MIN_BRACKET``, is halved down to ``tolerance``
+    instead and reported at its midpoint; one whose count falls in both
+    halves splits in two.  A drop of 2k at one coupling (the
+    up-down-mirrored simultaneous merger) is reported as k coincident
+    exceptional points: one entry per complexified pair.
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if tolerance >= MIN_BRACKET:
+        found = _seeded_folds(n_points, exponent, a_max, tolerance)
+        if found is not None:
+            return found
     grid = np.linspace(0.0, a_max, EP_SCAN_SAMPLES + 1)
     vals, counts = _spectra_along(n_points, exponent, grid)
     lo, hi, c_lo, c_hi = _drops(grid, counts)

@@ -253,6 +253,21 @@ class TestCouplingAxisEngine:
             spectra._spectra_along(5, -1.0, [0.1])
 
 
+def break_pair_seeds(monkeypatch):
+    """Make every level-pair seed NaN, so exceptional_points takes the scan."""
+    seeds = spectra._pair_seeds
+    monkeypatch.setattr(
+        spectra, "_pair_seeds", lambda *args: tuple(np.full_like(x, np.nan) for x in seeds(*args))
+    )
+
+
+def scanned_exceptional_points(n, z, a_max, tol):
+    """exceptional_points through the scan path."""
+    with pytest.MonkeyPatch.context() as mp:
+        break_pair_seeds(mp)
+        return exceptional_points(n, z, a_max, tol)
+
+
 def fake_counts(steps):
     """Stand-in for the engine whose real count follows a step table."""
     edges, values = zip(*steps)
@@ -340,9 +355,10 @@ class TestRefinementWork:
         monkeypatch.setattr(spectra, "_spectra_along", spy)
         return counts
 
-    def test_critical_coupling_halves_one_bracket(self, work):
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_critical_coupling_halves_one_bracket(self, work, n):
         # the fold solve needs no eigensolve; one call on r and r + tol certifies it
-        critical_coupling(10, -1.0, 1e-8)
+        critical_coupling(n, -1.0, 1e-8)
         assert work == [1, 2]
 
     def test_exceptional_points_beat_the_eight_way_split(self, work):
@@ -350,11 +366,11 @@ class TestRefinementWork:
         exceptional_points(10, -1.0, 3.0, 1e-6)
         assert work[0] < 19 and work[1] < 596
 
-    def test_exceptional_points_scan_then_one_certificate(self, work):
-        # the 513-point scan, then fold -+ tol for each of the 3 brackets in one call
+    def test_exceptional_points_make_one_certificate_call(self, work):
+        # no scan: fold -+ tol for each of the 3 distinct folds and a_max in one call
         pts = exceptional_points(10, -1.0, 3.0, 1e-6)
         assert len(pts) == 5
-        assert work == [2, spectra.EP_SCAN_SAMPLES + 1 + 2 * 3]
+        assert work == [1, 2 * 3 + 1]
 
 
 class TestFoldCertificate:
@@ -386,9 +402,11 @@ class TestFoldCertificate:
         assert all(abs(g - w) <= tol for g, w in zip(got, want))
 
     def test_one_failed_bracket_is_refined_alone(self, monkeypatch):
-        # only the fold of the last bracket (the single pair near 0.774) is off
+        # no pair seed converges, so the scan runs; there only the fold of
+        # the last bracket (the single pair near 0.774) is off
         tol = 1e-6
         want = exceptional_points(10, -1.0, 3.0, tol)
+        break_pair_seeds(monkeypatch)
         newton = spectra._fold_newton
         monkeypatch.setattr(
             spectra, "_fold_newton", lambda *args: newton(*args) + np.where(args[2] > 0.7, 1e-3, 0)
@@ -467,6 +485,116 @@ class TestFoldOracle:
             exceptional_points(n, -1.0, 3.0, tol)
         with pytest.raises(ValueError, match="float spacing at a = "):
             critical_coupling(n, -1.0, tol)
+
+
+SCAN_FREE_N = [10, 24, 48, 64]
+SCAN_FREE_Z = [-2.0, -1.2, -1.0, -0.8, -0.5]
+
+
+class TestScanFreeFolds:
+    """exceptional_points from the level-pair seeds, with no coupling scan."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """Couplings per engine call; bracket halving fails the test."""
+        sizes = []
+        engine = spectra._spectra_along
+        monkeypatch.setattr(
+            spectra, "_spectra_along", lambda *args: sizes.append(np.size(args[2])) or engine(*args)
+        )
+        monkeypatch.setattr(spectra, "_refine", lambda *args: pytest.fail("bracket halving ran"))
+        return sizes
+
+    @pytest.mark.parametrize("n", SCAN_FREE_N)
+    @pytest.mark.parametrize("z", SCAN_FREE_Z)
+    def test_no_scan_and_no_halving(self, sizes, n, z):
+        # includes N=64, z=-0.8, whose EPs near 0.47571 and 0.48003 share one
+        # cell of the 513-point scan
+        pts = exceptional_points(n, z, 3.0, 1e-6)
+        # one certificate call: each distinct fold -+ tol, and a_max
+        assert sizes == [2 * len(set(pts)) + 1]
+
+    def test_lambda_step_limit_keeps_seeds_on_their_pair(self, sizes):
+        # with unlimited lambda steps an inner seed at N=32, z=0.5 ends on
+        # another pair's fold and the count sends the search to the scan
+        pts = exceptional_points(32, 0.5, 3.0, 1e-6)
+        assert len(pts) == 32 // 2 and sizes == [2 * len(set(pts)) + 1]
+
+    @pytest.mark.parametrize("n", SCAN_FREE_N)
+    @pytest.mark.parametrize("z", SCAN_FREE_Z)
+    def test_agrees_with_the_scan(self, n, z):
+        tol = 1e-10
+        got = exceptional_points(n, z, 3.0, tol)
+        want = scanned_exceptional_points(n, z, 3.0, tol)
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+
+    @given(
+        n=st.integers(1, 20).map(lambda k: 2 * k),
+        z=st.floats(min_value=-2.0, max_value=-0.3),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_agrees_with_the_scan(self, n, z, tol):
+        got = exceptional_points(n, z, 3.0, tol)
+        assert got == spectra._seeded_folds(n, z, 3.0, tol)  # certified, no scan
+        want = scanned_exceptional_points(n, z, 3.0, tol)
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+
+    def test_folds_beyond_a_max_are_left_out(self):
+        # N=10, z=-1: folds at 0.3914 (x2), 0.6731 (x2) and 0.7740
+        full = exceptional_points(10, -1.0, 3.0, 1e-6)
+        assert exceptional_points(10, -1.0, 0.7, 1e-6) == full[:4]
+
+    # N=10, z=-1 certifies 7 counts: the 3 distinct folds - tol, + tol, then a_max
+    @pytest.mark.parametrize("point, shift", [(0, -2), (3, 2), (6, 2)])
+    def test_a_count_off_the_staircase_takes_the_scan(self, monkeypatch, point, shift):
+        want = exceptional_points(10, -1.0, 3.0, 1e-6)
+        sizes = []
+        engine = spectra._spectra_along
+
+        def spy(*args):
+            vals, counts = engine(*args)
+            if not sizes:
+                counts[point] += shift
+            sizes.append(np.size(args[2]))
+            return vals, counts
+
+        monkeypatch.setattr(spectra, "_spectra_along", spy)
+        got = exceptional_points(10, -1.0, 3.0, 1e-6)
+        assert sizes[:2] == [7, spectra.EP_SCAN_SAMPLES + 1]
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= 1e-6 for g, w in zip(got, want))
+
+
+class TestMergerAssumptions:
+    """The two facts the level-pair seeds rest on."""
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 64])
+    @pytest.mark.parametrize("z", [-1.0, -0.5])
+    def test_chiral_symmetry_maps_h_to_four_minus_h(self, n, z):
+        # S = diag((-1)^j) P, so level j and level N-1-j merge at one coupling
+        h = build_coulomb_hamiltonian(n, 0.7, z).matrix
+        s = np.diag((-1.0) ** np.arange(n)) @ np.eye(n)[::-1]
+        # a signed permutation: S^-1 = S^T, and every product is exact
+        np.testing.assert_array_equal(s @ h @ s.T, 4.0 * np.eye(n) - h)
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_merging_eigenvector_is_self_orthogonal(self, n):
+        # Moiseyev, Non-Hermitian Quantum Mechanics (2011), ch. 9: at an EP
+        # of a complex-symmetric H the right eigenvector has v^T v = 0, and
+        # below it |v^T v| / v^dag v closes like sqrt(distance)
+        mp = pytest.importorskip("mpmath")
+        fold = fold_couplings(n, -1.0, [critical_coupling(n, -1.0, 1e-8)])[0]
+        ratio = []
+        for delta in (1e-6, 1e-8):
+            h = build_coulomb_hamiltonian(n, float(fold - mp.mpf(delta)), -1.0).matrix
+            vals, vecs = np.linalg.eig(h)
+            v = vecs[:, np.argmin(vals.real)]  # the lowest level, in the ground pair
+            ratio.append(abs(v @ v) / np.vdot(v, v).real)
+        assert ratio[0] < 1e-2
+        assert ratio[1] / ratio[0] == pytest.approx(0.1, rel=1e-3)
 
 
 class TestGreedyMatch:
