@@ -11,24 +11,75 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import islice, repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import continuum, eigensolve, lattice, metrics, spectra
 
-FMT = "{:.12g}"
+FMT = "%.12g"
+# line breaks before a cell and before a row of "results": {"rows": ...} under
+# json.dumps(indent=2)
+_CELL_BREAK = "\n" + " " * 8
+_ROW_BREAK = "\n" + " " * 6
+# %-format spec of a CSV cell by type; any other type prints as str()
+_CSV_SPEC = {float: FMT, int: "%d", bool: "%d"}
+_PLAIN = frozenset((bool, int, float, str))
 
 
 def _num(x) -> str:
-    return FMT.format(float(x))
+    return FMT % float(x)
 
 
-def _jnum(x):
-    # round-trip-stable 12-significant-digit float for JSON output
-    return float(FMT.format(float(x)))
+def _plain(v):
+    """A numpy bool, integer or float as the Python scalar it stands for."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
+
+
+def _cells(rows) -> list:
+    """The cells of rows in order, numpy scalars as Python ones."""
+    return [v if type(v) in _PLAIN else _plain(v) for row in rows for v in row]
+
+
+def _jrows(rows) -> List[list]:
+    """Rows of Python scalars with every float rounded to 12 significant digits.
+
+    All floats go through one FMT batch and back through float(), the
+    correctly rounded value that ``float(FMT % x)`` gives one at a time;
+    NaN, +-inf and -0.0 come back unchanged."""
+    cells = _cells(rows)
+    at = [i for i, v in enumerate(cells) if type(v) is float]
+    text = ",".join([FMT] * len(at)) % tuple([cells[i] for i in at])
+    for i, x in zip(at, map(float, text.split(","))):
+        cells[i] = x
+    it = iter(cells)
+    return [list(islice(it, len(row))) for row in rows]
+
+
+def _json_rows(rows: List[list]) -> str:
+    """The rows as json.dumps(indent=2) lays them out under "results", from one
+    pass of the C encoder with a line break in each separator.
+
+    An encoded string never holds a raw line break, so the separator between
+    two rows is the only "]," followed by one, and an empty row the only "["
+    followed by two."""
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=("," + _CELL_BREAK, ": "))[2:-2]
+    text = text.replace("]," + _CELL_BREAK + "[",
+                        _ROW_BREAK + "]," + _ROW_BREAK + "[" + _CELL_BREAK)
+    text = "[" + _ROW_BREAK + "[" + _CELL_BREAK + text + _ROW_BREAK + "]\n    ]"
+    return text.replace("[" + _CELL_BREAK + _ROW_BREAK + "]", "[]")
 
 
 class _Output:
@@ -40,6 +91,7 @@ class _Output:
         self.checks: List[dict] = []
 
     def set_table(self, header, rows):
+        """Rows of scalar cells: bool, int, float, str or None, or numpy scalars."""
         self.header = list(header)
         self.rows = [list(r) for r in rows]
 
@@ -55,34 +107,30 @@ class _Output:
         lines = []
         if self.header:
             lines.append(",".join(self.header))
-            for row in self.rows:
-                lines.append(",".join(_cell(c) for c in row))
+            if self.rows:
+                cells = _cells(self.rows)
+                specs = map(_CSV_SPEC.get, map(type, cells), repeat("%s"))
+                fmt = "\n".join(",".join(islice(specs, len(row))) for row in self.rows)
+                lines.append(fmt % tuple(cells))
         for chk in self.checks:
             lines.append(f"# {_verdict(chk)} tol={_cell(chk['tolerance'])}")
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        def convert(v):
-            if isinstance(v, (bool, np.bool_)):
-                return bool(v)
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            if isinstance(v, (float, np.floating)):
-                return _jnum(v)
-            return v
+        def convert(d: dict) -> dict:
+            return dict(zip(d, _jrows([d.values()])[0]))
 
         doc = {
             "command": self.command,
-            "params": {k: convert(v) for k, v in self.params.items()},
-            "results": {
-                "header": self.header,
-                "rows": [[convert(c) for c in row] for row in self.rows],
-            },
-            "checks": [
-                {k: convert(v) for k, v in chk.items()} for chk in self.checks
-            ],
+            "params": convert(self.params),
+            "results": {"header": self.header, "rows": 0},
+            "checks": [convert(chk) for chk in self.checks],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        # "rows" of "results" is the only "rows" key at the end of a dict
+        # followed by "checks": params end before "results", checks nest deeper
+        slot = '"rows": 0\n  },\n  "checks"'
+        rows = '"rows": ' + _json_rows(_jrows(self.rows)) + '\n  },\n  "checks"'
+        return json.dumps(doc, indent=2).replace(slot, rows, 1) + "\n"
 
     def emit(self, fmt: str, out: Optional[str]) -> None:
         text = self.render_json() if fmt == "json" else self.render_csv()
@@ -98,13 +146,8 @@ class _Output:
 
 
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _num(v)
-    return str(v)
+    v = _plain(v)
+    return _CSV_SPEC.get(type(v), "%s") % (v,)
 
 
 def _verdict(chk: dict) -> str:
@@ -114,11 +157,8 @@ def _verdict(chk: dict) -> str:
 
 
 def _matrix_rows(m: np.ndarray):
-    rows = []
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            rows.append([i + 1, j + 1, m[i, j].real, m[i, j].imag])
-    return rows
+    i, j = (np.indices(m.shape) + 1).reshape(2, -1).tolist()
+    return zip(i, j, m.real.ravel().tolist(), m.imag.ravel().tolist())
 
 
 # ---------------------------------------------------------------- commands
@@ -145,13 +185,10 @@ def _cmd_sweep(args, out: _Output) -> None:
     for j in range(args.n):
         header += [f"eps{j + 1}_re", f"eps{j + 1}_im"]
     header.append("n_real")
-    rows = []
-    for i, a in enumerate(table.couplings):
-        row = [float(a)]
-        for e in table.eigenvalues[i]:
-            row += [e.real, e.imag]
-        row.append(int(table.n_real[i]))
-        rows.append(row)
+    eig = table.eigenvalues
+    re_im = np.stack([eig.real, eig.imag], axis=-1).reshape(len(eig), -1)
+    rows = [[a, *v, c] for a, v, c in
+            zip(table.couplings.tolist(), re_im.tolist(), table.n_real.tolist())]
     out.set_table(header, rows)
 
 
@@ -341,7 +378,9 @@ def _cmd_verify(args, out: _Output) -> None:
 # ---------------------------------------------------------------- parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="ptcoulomb",
         description="Discrete PT-symmetric Coulomb Hamiltonians: spectra, "

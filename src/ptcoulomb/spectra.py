@@ -461,6 +461,12 @@ def _greedy_match(ref: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """For each ref[j] in order, the index of the nearest unused entry of
     vals; ties go to the lowest index."""
     dist = np.abs(vals[None, :] - ref[:, None])
+    # nearest picks that are all distinct are what the loop picks: hiding
+    # other columns cannot move a row's first minimum (argmin also takes the
+    # first NaN as the minimum, as the loop does)
+    picks = dist.argmin(axis=1)
+    if np.unique(picks).size == picks.size:
+        return picks
     picks = np.empty(len(ref), dtype=int)
     for j, row in enumerate(dist):
         picks[j] = np.argmin(row)

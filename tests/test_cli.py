@@ -1,12 +1,20 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptcoulomb import build_coulomb_hamiltonian
+from ptcoulomb import build_coulomb_hamiltonian, cli
 from ptcoulomb.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+README_CLI_LINES = re.findall(r"^ptcoulomb .*$", README, re.M)
 
 
 def run(capsys, *argv):
@@ -239,3 +247,156 @@ class TestUsageErrors:
             main(["critical", "--n", "4", "--format", "xml"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------- renderer oracle
+# The cell-by-cell renderers the bulk ones replace: every value through
+# "{:.12g}", the JSON document through json.dumps(indent=2).
+
+
+def _oracle_convert(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float("{:.12g}".format(float(v)))
+    return v
+
+
+def _oracle_json(out) -> str:
+    doc = {
+        "command": out.command,
+        "params": {k: _oracle_convert(v) for k, v in out.params.items()},
+        "results": {
+            "header": out.header,
+            "rows": [[_oracle_convert(c) for c in row] for row in out.rows],
+        },
+        "checks": [{k: _oracle_convert(v) for k, v in chk.items()} for chk in out.checks],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _oracle_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return "{:.12g}".format(float(v))
+    return str(v)
+
+
+def _oracle_csv(out) -> str:
+    lines = []
+    if out.header:
+        lines.append(",".join(out.header))
+        for row in out.rows:
+            lines.append(",".join(_oracle_cell(c) for c in row))
+    for chk in out.checks:
+        status = "PASS" if chk["passed"] else "FAIL"
+        lines.append(f"# {status} {chk['name']}: measured={_oracle_cell(chk['measured'])} "
+                     f"expected={_oracle_cell(chk['expected'])} "
+                     f"tol={_oracle_cell(chk['tolerance'])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderersMatchTheOracle:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("line", README_CLI_LINES)
+    def test_readme_example(self, line, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # examples with --out write here
+        argv = shlex.split(line, comments=True)[1:]
+        if "--format" in argv:
+            del argv[argv.index("--format"):argv.index("--format") + 2]
+        argv += ["--format", fmt]
+        made = []
+
+        class Recording(cli._Output):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "_Output", Recording)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        (out,) = made
+        assert out.render_json() == _oracle_json(out)
+        assert out.render_csv() == _oracle_csv(out)
+        want = _oracle_json(out) if fmt == "json" else _oracle_csv(out)
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).read_text("utf-8") == want
+        elif not (argv[0] == "verify" and fmt == "csv"):  # csv verify prints verdicts only
+            assert stdout == want
+
+    _special = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324])
+    _float = st.one_of(
+        _special,
+        st.floats(),
+        st.floats(1e12, 1e16, exclude_max=True),  # where %.12g and repr part ways
+        st.floats(-1e16, -1e12, exclude_min=True),
+    )
+    _any_cell = st.one_of(
+        _float,
+        _float.map(np.float64),
+        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.text(),
+        st.sampled_from(['"', "\\", "\n", "a,b", "é∞", '"rows": 0', "%s", "%d"]),
+        st.none(),
+    )
+
+    @given(
+        params=st.dictionaries(st.one_of(st.text(), st.just("rows")), _any_cell, max_size=4),
+        header=st.lists(st.text(), max_size=4),
+        rows=st.lists(st.lists(_any_cell, max_size=5), max_size=6),
+        checks=st.lists(
+            st.tuples(st.text(), _any_cell, _any_cell, _any_cell, st.booleans()), max_size=3
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, params, header, rows, checks):
+        out = cli._Output("command", params)
+        out.set_table(header, rows)
+        for name, measured, expected, tol, passed in checks:
+            out.check(name, measured, expected, tol, passed=passed)
+        assert out.render_json() == _oracle_json(out)
+        assert out.render_csv() == _oracle_csv(out)
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[], [1.5]], [[1.5], []], [[], []], [[1.0, "x"]]])
+    def test_empty_and_short_rows(self, rows):
+        out = cli._Output("command", {"rows": 0})
+        out.set_table(["h"], rows)
+        assert out.render_json() == _oracle_json(out)
+        assert out.render_csv() == _oracle_csv(out)
+
+
+class TestCachedParser:
+    SEQUENCE = [
+        ["critical", "--n", "4"],
+        ["critical", "--n", "4", "--format", "xml"],  # usage error
+        ["eps", "--n", "6"],
+        ["metric", "--n", "4", "--a", "0.3", "--format", "json"],
+        ["verify", "paper-n4"],
+    ]
+
+    def _run_sequence(self, capsys):
+        results = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_outputs_equal_a_fresh_parser(self, capsys, monkeypatch):
+        cached = self._run_sequence(capsys)
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self._run_sequence(capsys)
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0]
+        assert cached == fresh

@@ -616,3 +616,37 @@ class TestGreedyMatch:
         # the oracle's scalar abs and numpy's array abs may differ in the last bit
         deviation = np.max(np.abs(vals[picks] - ref))
         assert deviation == pytest.approx(multiset_deviation(vals, ref), rel=1e-15)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           spread=st.sampled_from([0, 1, 2, 1000]), near=st.booleans(),
+           nan=st.sampled_from(["", "ref", "vals"]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_sequential_loop(self, seed, n, spread, near, nan):
+        # spread 0 makes every pick the same index, 1 and 2 give exact ties and
+        # conflicting nearest picks; vals near a shuffled ref, as in a sweep,
+        # give mostly distinct picks
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-spread, spread + 1, (2, 2, n))
+        ref, vals = pts[:, 0] + 1j * pts[:, 1]
+        if near:
+            vals = rng.permutation(ref) + 0.25 * rng.integers(-1, 2, n)
+        if nan:
+            (ref if nan == "ref" else vals)[rng.integers(n)] = np.nan
+        np.testing.assert_array_equal(spectra._greedy_match(ref, vals), _greedy_loop(ref, vals))
+
+    def test_distinct_and_conflicting_nearest_picks(self):
+        ref = np.array([0.0, 0.1, 1.0, 1.1])
+        np.testing.assert_array_equal(spectra._greedy_match(ref, ref[::-1]), [3, 2, 1, 0])
+        # 0.05 is nearest to both 0.0 and 0.1: the second takes the next nearest
+        vals = np.array([0.05, 0.5, 1.0, 1.1])
+        np.testing.assert_array_equal(spectra._greedy_match(ref, vals), [0, 1, 2, 3])
+
+
+def _greedy_loop(ref, vals):
+    """The sequential definition of ``spectra._greedy_match``."""
+    dist = np.abs(vals[None, :] - ref[:, None])
+    picks = np.empty(len(ref), dtype=int)
+    for j, row in enumerate(dist):
+        picks[j] = np.argmin(row)
+        dist[:, picks[j]] = np.inf
+    return picks
