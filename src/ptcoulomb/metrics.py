@@ -266,10 +266,94 @@ def dieudonne_solution_dimension(h, rank_tolerance: float = 1e-10) -> int:
     """Real dimension of the Hermitian solution space of H^dag X = X H.
 
     The complex solution space is closed under X -> X^dag, so its complex
-    dimension equals the real dimension of its Hermitian part: the nullity
-    of the vectorized map kron(I, H^dag) - kron(H^T, I).
+    dimension equals the real dimension of its Hermitian part.
+    ``rank_tolerance`` must lie in (0, 1).
+
+    Structural path.  The equation is blind to a real shift of H, so let
+    s = sqrt(|H'|_1 |H'|_inf) with H' = H - cI, c the mean real diagonal.
+    For tridiagonal H whose off-diagonal entries all exceed
+    rank_tolerance * s in modulus, row i of H^dag X = X H fixes row i+1:
+
+        X_{i+1} = (X_i H - conj(H_ii) X_i - conj(H_{i-1,i}) X_{i-1})
+                  / conj(H_{i+1,i}),
+
+    so the first row determines X and there are at most N solutions.  The
+    recursion runs for all N unit first rows at once, N steps on (N, N)
+    blocks (O(N^3) time, O(N^2) memory), and the same formula at i = N-1
+    gives the residual rows R_b of the N candidates X_b, which vanish for
+    exact solutions.  If |R|_F <= rank_tolerance * s, the candidates span
+    N independent solutions to tolerance: their first rows are the unit
+    vectors, so |M x| <= |R|_F |x| on their span for the Kronecker map M
+    below, and M has N singular values at or below rank_tolerance * s.
+    The dimension is then N.  This is the case for a PT-symmetric chain
+    such as the Coulomb lattice at any coupling of moderate size:
+    H^dag = P H P, so the solutions are P times the commutant of H, which
+    has dimension N because such an H is nonderogatory.
+
+    Fallback.  Any other input, or one whose certificate fails (no PT
+    symmetry, an off-diagonal entry at the tolerance, or a coupling so far
+    outside the reality interval that the rows grow by many orders), is
+    counted by the nullity of the N^2 x N^2 map
+    M = kron(I, H^dag) - kron(H^T, I): its singular values at or below
+    rank_tolerance times the largest one, in O(N^6).
     """
+    if not 0.0 < rank_tolerance < 1.0:
+        raise ValueError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance}")
     hm = _as_matrix(h)
+    if _recursion_certifies(hm, rank_tolerance):
+        return hm.shape[0]
+    return _kronecker_nullity(hm, rank_tolerance)
+
+
+def _recursion_certifies(hm: np.ndarray, rank_tolerance: float) -> bool:
+    # True iff hm is tridiagonal with off-diagonals above the tolerance and
+    # the N solutions grown from the unit first rows pass the residual row
+    n = hm.shape[0]
+    d, lower, upper = np.diag(hm), np.diag(hm, -1), np.diag(hm, 1)
+    band = np.count_nonzero(d) + np.count_nonzero(lower) + np.count_nonzero(upper)
+    if n == 0 or np.count_nonzero(hm) != band:
+        return False
+    # the equation is blind to a real shift and a positive scale of H, so the
+    # recursion runs on H / s, which keeps |R|_F clear of underflow;
+    # s = sqrt(|H'|_1 |H'|_inf) is taken as a product of roots for the same
+    # reason (eigensolve._norm_bound, the root of the product, underflows)
+    shifted = hm - np.mean(d.real) * np.eye(n)
+    scale = np.sqrt(np.linalg.norm(shifted, 1)) * np.sqrt(np.linalg.norm(shifted, np.inf))
+    # an off-diagonal entry at the rank tolerance makes H reducible to it
+    if np.abs(np.concatenate((lower, upper))).min(initial=np.inf) <= rank_tolerance * scale:
+        return False
+    if scale == 0:
+        return True  # a real 1x1 H, which every X solves
+    # rows that grow past overflow (or a subnormal s) give inf/nan, which fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _dieudonne_rows(d / scale, lower / scale, upper / scale):
+            pass
+        return bool(np.linalg.norm(rows) <= rank_tolerance)
+
+
+def _dieudonne_rows(d, lower, upper):
+    # row blocks X_0 .. X_{N-1} of the N candidate solutions of
+    # H^dag X = X H with unit first rows (block i holds row i of every
+    # candidate, candidate b on row b), then the residual row block R;
+    # H is tridiagonal with diagonal d and nonzero off-diagonals lower, upper
+    n = len(d)
+    dc, lc, uc = d.conj(), lower.conj(), upper.conj()
+    prev, cur = None, np.eye(n, dtype=complex)
+    for i in range(n):
+        yield cur
+        nxt = cur * (d - dc[i])
+        nxt[:, 1:] += cur[:, :-1] * upper
+        nxt[:, :-1] += cur[:, 1:] * lower
+        if i:
+            nxt -= uc[i - 1] * prev
+        if i < n - 1:
+            nxt /= lc[i]
+        prev, cur = cur, nxt
+    yield cur
+
+
+def _kronecker_nullity(hm: np.ndarray, rank_tolerance: float) -> int:
+    # nullity of the vectorized map kron(I, H^dag) - kron(H^T, I) by SVD
     n = hm.shape[0]
     eye = np.eye(n)
     mat = np.kron(eye, hm.conj().T) - np.kron(hm.T, eye)

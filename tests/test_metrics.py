@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptcoulomb.metrics as metrics
 from ptcoulomb import (
     ComplexSpectrumError,
     KappaWeights,
@@ -353,6 +356,178 @@ class TestSolutionSpaceDimension:
         # inside and beyond the reality interval alike
         a = frac * critical_coupling(n, -1.0, 1e-8)
         assert dieudonne_solution_dimension(build_coulomb_hamiltonian(n, a, -1.0)) == n
+
+
+@lru_cache(maxsize=None)
+def _alpha(n, z=-1.0):
+    return critical_coupling(n, z, 1e-8)
+
+
+def _svd_dimension(h):
+    # the Kronecker SVD count, the oracle kept for inputs off the structural path
+    return metrics._kronecker_nullity(np.asarray(getattr(h, "matrix", h), dtype=complex), 1e-10)
+
+
+def _basis(h):
+    # (b, i, j): the N solutions grown from unit first rows e_b, and the
+    # residual row block of each, straight from the library's recursion
+    hm = h.matrix
+    *rows, residual = metrics._dieudonne_rows(np.diag(hm), np.diag(hm, -1), np.diag(hm, 1))
+    return np.stack(rows, axis=1), residual
+
+
+def _tridiagonal(diag, lower, upper):
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+def _with_entry(m, i, j, value):
+    m = m.copy()
+    m[i, j] = value
+    return m
+
+
+class TestRankTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1.0])
+    def test_outside_unit_interval_rejected(self, tol):
+        # NaN and inf used to count 36 = N^2 at N=6, 0 and -1 to count 0
+        h = build_coulomb_hamiltonian(6, 0.5, -1.0)
+        with pytest.raises(ValueError, match="rank_tolerance"):
+            dieudonne_solution_dimension(h, tol)
+
+
+class TestStructuralPathAgreesWithSvd:
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    @pytest.mark.parametrize("z", [-2.0, -1.0, -0.5, 0.5, 1.0])
+    def test_coulomb_grid(self, n, z):
+        for frac in (0.0, 0.5, 0.999, 1.5, 3.0):
+            h = build_coulomb_hamiltonian(n, frac * _alpha(n, z), z)
+            assert metrics._recursion_certifies(h.matrix, 1e-10), frac
+            assert dieudonne_solution_dimension(h) == _svd_dimension(h) == n, frac
+
+    @given(data=st.data(), n=st.integers(1, 8), pt=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tridiagonal(self, data, n, pt):
+        entry = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+        diag, lower, upper = (
+            np.array(data.draw(st.lists(entry, min_size=k, max_size=k)), dtype=complex)
+            for k in (n, n - 1, n - 1)
+        )
+        h = _tridiagonal(diag, lower, upper)
+        if pt:
+            h = 0.5 * (h + np.conj(h)[::-1, ::-1])  # P conj(H) P = H
+        assert dieudonne_solution_dimension(h) == _svd_dimension(h)
+
+    @given(data=st.data(), n=st.integers(1, 8), pt=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_ill_scaled_tridiagonal(self, data, n, pt):
+        # entries up to 1e6: the structural count never exceeds the SVD's, and
+        # equals it wherever the SVD is decisive, with no singular value
+        # within three orders of the 1e-10 threshold
+        part = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.5, 1.0]))
+        entry = st.builds(complex, part, part)
+        diag, lower, upper = (
+            np.array(data.draw(st.lists(entry, min_size=k, max_size=k)), dtype=complex)
+            for k in (n, n - 1, n - 1)
+        )
+        h = _tridiagonal(diag, lower, upper)
+        if pt:
+            h = 0.5 * (h + np.conj(h)[::-1, ::-1])
+        got, want = dieudonne_solution_dimension(h), _svd_dimension(h)
+        assert got <= want
+        eye = np.eye(n)
+        s = np.linalg.svd(np.kron(eye, h.conj().T) - np.kron(h.T, eye), compute_uv=False)
+        if not np.any((s > 1e-13 * s[0]) & (s <= 1e-7 * s[0])):
+            assert got == want
+
+    CASES = {
+        "diag-123": (np.diag([1.0, 2.0, 3.0]), 3),
+        "dense-4x4": (np.arange(16.0).reshape(4, 4) + 1j * np.eye(4), None),
+        "constant-diagonal-2+1j": (_tridiagonal(np.full(6, 2 + 1j), -np.ones(5), -np.ones(5)), 0),
+        "coulomb-plus-0.3i": (build_coulomb_hamiltonian(8, 0.5, -1.0).matrix + 0.3j * np.eye(8), 0),
+        "coulomb-a50-n8": (build_coulomb_hamiltonian(8, 50.0, -1.0).matrix, 8),
+        "coulomb-a50-n14": (build_coulomb_hamiltonian(14, 50.0, -1.0).matrix, 14),
+        "coulomb-a1e4-n14": (build_coulomb_hamiltonian(14, 1e4, -1.0).matrix, 14),
+        "one-off-diagonal-1e-12": (_with_entry(build_coulomb_hamiltonian(8, 0.5, -1.0).matrix, 4, 3, 1e-12), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_fallback_cases(self, name):
+        h, want = self.CASES[name]
+        assert not metrics._recursion_certifies(np.asarray(h, dtype=complex), 1e-10)
+        got = dieudonne_solution_dimension(h)
+        assert got == _svd_dimension(h)
+        if want is not None:
+            assert got == want
+
+    def test_svd_overcounts_a_near_degenerate_chain(self):
+        # an ill-scaled PT chain with two eigenvalues 5e-7 apart: the SVD at
+        # 1e-10 counts two near-solutions (singular values 9.9e-11 of the
+        # largest) as exact ones, while the next ones down sit at 1e-16; the
+        # structural path returns the exact N, which the SVD gives at 1e-12
+        lower = np.array([-86.5j, 0.125, 0.5j, 0.5j, 0.25j, 0.5, -1j])
+        upper = np.conj(lower[::-1])
+        h = _tridiagonal(np.zeros(8), lower, upper)
+        assert np.array_equal(np.conj(h)[::-1, ::-1], h)
+        assert dieudonne_solution_dimension(h) == 8
+        assert _svd_dimension(h) == 10
+        assert metrics._kronecker_nullity(h.astype(complex), 1e-12) == 8
+
+
+class TestStructuralBasis:
+    @pytest.mark.parametrize("n", [4, 14, 64])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.999, 3.0])
+    def test_parity_times_basis_commutes_with_h(self, n, frac):
+        # H^dag = P H P turns H^dag X = X H into [H, P X] = 0
+        h = build_coulomb_hamiltonian(n, frac * _alpha(n), -1.0)
+        basis, residual = _basis(h)
+        hm, p = h.matrix, parity(n).matrix
+        scale = np.linalg.norm(hm)
+        for theta in basis:
+            px = p @ theta
+            assert np.linalg.norm(hm @ px - px @ hm) <= 1e-13 * scale * np.linalg.norm(theta)
+            assert dieudonne_residual(h, theta) <= 1e-14
+        assert np.linalg.norm(residual) <= 1e-13 * scale
+
+    @staticmethod
+    def _from_first_row(h, theta):
+        # the basis combination weighted by theta's own first row
+        basis, _ = _basis(h)
+        got = np.einsum("b,bij->ij", theta[0], basis)
+        return np.linalg.norm(got - theta) / np.linalg.norm(theta)
+
+    @pytest.mark.parametrize("k, m, a", [(1.0, 0.0, 0.5), (2.0, -0.7, 0.9), (0.3, 1.5, -1.2)])
+    def test_n2_family_in_basis(self, k, m, a):
+        h = build_coulomb_hamiltonian(2, a, -1.0)
+        assert self._from_first_row(h, n2_metric(k, m, a).matrix) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k, m, r, eta, a, z",
+        [(1.0, 0.0, 1.0, 0.0, 0.4, -1.0), (0.5, 1.2, -0.8, 0.3, 0.7, -0.8), (2.0, -1.0, 0.5, 1.5, 1.3, -1.2)],
+    )
+    def test_n4_ansatz_in_basis(self, k, m, r, eta, a, z):
+        h = build_coulomb_hamiltonian(4, a, z)
+        theta = n4_metric_ansatz(k, m, r, eta, a, z).matrix
+        assert self._from_first_row(h, theta) <= 1e-12
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_biorthogonal_metric_in_basis(self, frac):
+        h = build_coulomb_hamiltonian(14, frac * _alpha(14), -1.0)
+        theta = metric_from_biorthogonal(eigensystem(h)).matrix
+        assert self._from_first_row(h, theta) <= 1e-12
+
+
+class TestStructuralPathTaken:
+    # the SVD at N=64 is a 4096 x 4096 complex SVD and at N=256 out of reach:
+    # these chains must never get there
+    @pytest.mark.parametrize("n", [14, 64, 256])
+    @pytest.mark.parametrize("frac", [0.5, 0.999, 3.0])
+    def test_coulomb_never_reaches_svd(self, monkeypatch, n, frac):
+        def no_svd(*args):
+            raise AssertionError("Kronecker SVD reached")
+
+        monkeypatch.setattr(metrics, "_kronecker_nullity", no_svd)
+        h = build_coulomb_hamiltonian(n, frac * _alpha(n), -1.0)
+        assert dieudonne_solution_dimension(h) == n
 
 
 MATRIX_CONSUMERS = {
