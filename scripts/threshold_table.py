@@ -2,15 +2,15 @@
 """Tabulate the reality-domain edge alpha(N) for a range of matrix sizes.
 
 The edge shrinks quickly as the lattice grows; this prints one row per size
-with the located critical coupling and the number of exceptional points found
-below a fixed scan ceiling.
+with the located critical coupling and the number of exceptional points
+below a fixed coupling ceiling, (N - n_real)/2 at that ceiling.
 
 Usage: python3 scripts/threshold_table.py [--z Z] [--n-max N] [--tol TOL]
 """
 
 import argparse
 
-from ptcoulomb import critical_coupling, exceptional_points
+from ptcoulomb import build_coulomb_hamiltonian, critical_coupling, reality_report
 
 
 def main() -> None:
@@ -23,8 +23,8 @@ def main() -> None:
     print(f"{'N':>4} {'alpha(N)':>14} {'n_exceptional':>14}")
     for n in range(2, args.n_max + 1, 2):
         alpha = critical_coupling(n, args.z, args.tol)
-        pts = exceptional_points(n, args.z, 3.0, 1e-5)
-        print(f"{n:>4} {alpha:>14.8f} {len(pts):>14}")
+        n_real = reality_report(build_coulomb_hamiltonian(n, 3.0, args.z)).n_real
+        print(f"{n:>4} {alpha:>14.8f} {(n - n_real) // 2:>14}")
 
 
 if __name__ == "__main__":

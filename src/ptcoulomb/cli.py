@@ -31,10 +31,6 @@ _CSV_SPEC = {float: FMT, int: "%d", bool: "%d"}
 _PLAIN = frozenset((bool, int, float, str))
 
 
-def _num(x) -> str:
-    return FMT % float(x)
-
-
 def _plain(v):
     """A numpy bool, integer or float as the Python scalar it stands for."""
     if isinstance(v, (bool, np.bool_)):
@@ -248,7 +244,7 @@ def _cmd_continuum_check(args, out: _Output) -> None:
     for s in (-joint, joint):
         lo = continuum.contour_point(eps, s - 1e-12)
         hi = continuum.contour_point(eps, s + 1e-12)
-        out.check(f"joint_continuity_s={_num(s)}", abs(hi - lo), 0.0, 1e-10)
+        out.check(f"joint_continuity_s={_cell(s)}", abs(hi - lo), 0.0, 1e-10)
     r_coarse, r_fine = _residual_pair(spec, eps, 2.0 * joint)
     ratio = r_coarse / r_fine if r_fine > 0 else float("inf")
     out.check("residual_fine", r_fine, f"< {r_coarse}", None, passed=r_fine < r_coarse)
@@ -258,13 +254,17 @@ def _cmd_continuum_check(args, out: _Output) -> None:
 # ---------------------------------------------------------------- verify
 
 
+def _check_secular(out: _Output, name: str, n: int, printed, couplings, tol: float) -> None:
+    """Faddeev-LeVerrier coefficients of the N-site matrix against the printed ones."""
+    for a in couplings:
+        got = eigensolve.characteristic_polynomial(lattice.build_coulomb_hamiltonian(n, a, -1.0))
+        err = float(np.max(np.abs(got - printed(a))))
+        out.check(f"{name}_coefficients_a={_cell(a)}", err, 0.0, tol)
+
+
 def _verify_paper_n4(out: _Output) -> None:
-    for a in (0.0, 1.0 / 3.0, 0.5, 1.0):
-        h = lattice.build_coulomb_hamiltonian(4, a, -1.0)
-        got = eigensolve.characteristic_polynomial(h)
-        want = spectra.secular_coefficients_n4(a)
-        err = float(np.max(np.abs(got - want)))
-        out.check(f"quartic_coefficients_a={_num(a)}", err, 0.0, 1e-12)
+    _check_secular(out, "quartic", 4, spectra.secular_coefficients_n4,
+                   (0.0, 1.0 / 3.0, 0.5, 1.0), 1e-12)
     worst = 0.0
     for a in np.linspace(0.0, 2.0, 50):
         want = spectra.closed_form_spectrum_n4(a)
@@ -280,12 +280,7 @@ def _verify_paper_n4(out: _Output) -> None:
 
 
 def _verify_paper_n6(out: _Output) -> None:
-    for a in (0.0, 1.0 / 3.0, 0.5):
-        h = lattice.build_coulomb_hamiltonian(6, a, -1.0)
-        got = eigensolve.characteristic_polynomial(h)
-        want = spectra.secular_coefficients_n6(a)
-        err = float(np.max(np.abs(got - want)))
-        out.check(f"sextic_coefficients_a={_num(a)}", err, 0.0, 1e-11)
+    _check_secular(out, "sextic", 6, spectra.secular_coefficients_n6, (0.0, 1.0 / 3.0, 0.5), 1e-11)
     out.check("critical_coupling_n6", spectra.critical_coupling(6, -1.0, 1e-6), 0.589586, 1e-4)
 
 
@@ -315,8 +310,8 @@ def _verify_metrics_n2(out: _Output) -> None:
         theta_cpt = c @ lattice.parity(2).matrix
         h = lattice.build_coulomb_hamiltonian(2, a, -1.0)
         res = metrics.dieudonne_residual(h, theta_cpt)
-        out.check(f"cpt_involution_a={_num(a)}", invol, 0.0, 1e-14)
-        out.check(f"cpt_metric_dieudonne_a={_num(a)}", res, 0.0, 1e-14)
+        out.check(f"cpt_involution_a={_cell(a)}", invol, 0.0, 1e-14)
+        out.check(f"cpt_metric_dieudonne_a={_cell(a)}", res, 0.0, 1e-14)
     a = 0.7
     obs = metrics.n2_observable(2.0, 0.0, 0.0, -a, a)
     h = lattice.build_coulomb_hamiltonian(2, a, -1.0)
@@ -331,10 +326,10 @@ def _verify_metrics_n4(out: _Output) -> None:
             got = np.sort(np.linalg.eigvalsh(theta.matrix))
             want = metrics.n4_metric_eigenvalues(a, z)
             err = float(np.max(np.abs(got - want)))
-            out.check(f"n4_theta_eigenvalues_a={_num(a)}_z={_num(z)}", err, 0.0, 1e-10)
+            out.check(f"n4_theta_eigenvalues_a={_cell(a)}_z={_cell(z)}", err, 0.0, 1e-10)
             h = lattice.build_coulomb_hamiltonian(4, a, z)
             res = metrics.dieudonne_residual(h, theta)
-            out.check(f"n4_ansatz_dieudonne_a={_num(a)}_z={_num(z)}", res, 0.0, 1e-12)
+            out.check(f"n4_ansatz_dieudonne_a={_cell(a)}_z={_cell(z)}", res, 0.0, 1e-12)
 
 
 def _verify_continuum(out: _Output) -> None:

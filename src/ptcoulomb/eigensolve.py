@@ -72,11 +72,11 @@ class EigenSystem:
 
 
 def _norm_bound(m: np.ndarray) -> float:
-    """sqrt(|H|_1 |H|_inf), an upper bound on the spectral norm |H|_2."""
+    """sqrt(|H|_1) sqrt(|H|_inf), a bound on |H|_2 that overflows only with the norms."""
     if not m.size:
         return 0.0
     a = np.abs(m)
-    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+    return float(np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max()))
 
 
 def _classify(vals: np.ndarray, scale: float, tolerance: Optional[float]):

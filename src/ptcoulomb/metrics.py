@@ -16,8 +16,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .eigensolve import EigenSystem
+from .eigensolve import EigenSystem, _norm_bound
 from .lattice import _as_matrix
+
+
+#: largest N of the O(N^6) Kronecker SVD, whose N^2 x N^2 map is then <= 16 MiB
+KRONECKER_MAX_DIM = 32
 
 
 class ComplexSpectrumError(RuntimeError):
@@ -295,7 +299,8 @@ def dieudonne_solution_dimension(h, rank_tolerance: float = 1e-10) -> int:
     outside the reality interval that the rows grow by many orders), is
     counted by the nullity of the N^2 x N^2 map
     M = kron(I, H^dag) - kron(H^T, I): its singular values at or below
-    rank_tolerance times the largest one, in O(N^6).
+    rank_tolerance times the largest one, in O(N^6), for N up to
+    ``KRONECKER_MAX_DIM``; a larger N raises ValueError.
     """
     if not 0.0 < rank_tolerance < 1.0:
         raise ValueError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance}")
@@ -314,11 +319,8 @@ def _recursion_certifies(hm: np.ndarray, rank_tolerance: float) -> bool:
     if n == 0 or np.count_nonzero(hm) != band:
         return False
     # the equation is blind to a real shift and a positive scale of H, so the
-    # recursion runs on H / s, which keeps |R|_F clear of underflow;
-    # s = sqrt(|H'|_1 |H'|_inf) is taken as a product of roots for the same
-    # reason (eigensolve._norm_bound, the root of the product, underflows)
-    shifted = hm - np.mean(d.real) * np.eye(n)
-    scale = np.sqrt(np.linalg.norm(shifted, 1)) * np.sqrt(np.linalg.norm(shifted, np.inf))
+    # recursion runs on H / s, which keeps |R|_F clear of underflow
+    scale = _norm_bound(hm - np.mean(d.real) * np.eye(n))
     # an off-diagonal entry at the rank tolerance makes H reducible to it
     if np.abs(np.concatenate((lower, upper))).min(initial=np.inf) <= rank_tolerance * scale:
         return False
@@ -355,6 +357,9 @@ def _dieudonne_rows(d, lower, upper):
 def _kronecker_nullity(hm: np.ndarray, rank_tolerance: float) -> int:
     # nullity of the vectorized map kron(I, H^dag) - kron(H^T, I) by SVD
     n = hm.shape[0]
+    if n > KRONECKER_MAX_DIM:
+        raise ValueError(f"no row-recursion certificate, and the Kronecker fallback "
+                         f"supports N <= {KRONECKER_MAX_DIM}, got {n}")
     eye = np.eye(n)
     mat = np.kron(eye, hm.conj().T) - np.kron(hm.T, eye)
     s = np.linalg.svd(mat, compute_uv=False)

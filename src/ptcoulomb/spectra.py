@@ -37,12 +37,12 @@ CRITICAL_BRACKET = 2.0
 #: hard cap for bracket auto-expansion
 CRITICAL_BRACKET_MAX = 64.0
 
-#: narrowest coupling bracket that is split: within ~1e-13 of an EP the real
-#: count no longer certifies the side, so finer search tolerances raise
+#: smallest tolerance of both coupling searches: within ~1e-13 of an EP the
+#: real count no longer certifies the side, so a finer one raises at entry
 MIN_BRACKET = 1e-13
 
 #: longest lam step of fold Newton from a level pair, as a fraction of the
-#: pair's a = 0 spacing: a longer step could reach a neighbouring pair
+#: pair's spacing where Newton starts: a longer step could reach another pair
 FOLD_STEP = 0.25
 
 #: bytes of one float64 matrix stack per LAPACK call in coupling scans; a
@@ -196,7 +196,7 @@ def _fold_terms(n_points: int, exponent: float, a, lam):
     return tuple(x.real for x in cur)
 
 
-def _fold_newton(n_points: int, exponent: float, a, lam, max_step=np.inf) -> np.ndarray:
+def _fold_newton(n_points: int, exponent: float, a, lam, max_step) -> np.ndarray:
     """Couplings of the folds p = dp/dlam = 0, where a real pair merges,
     reached by Newton in (t = a^2, lam) from couplings a > 0 and levels lam;
     no lam step is longer than ``max_step``.
@@ -241,28 +241,26 @@ def critical_coupling(
     n_points: int, exponent: float = -1.0, tolerance: float = 1e-8
 ) -> float:
     """Edge alpha(N) of the reality interval, returned within ``tolerance``
-    below it.
+    (at least ``MIN_BRACKET``) below it.
 
     Fold Newton follows the ground pair (levels 0 and 1, ``_pair_seeds``)
-    from its a = 0 values to the coupling where it merges, and
-    returns r = fold - tolerance/2 (not below 0) once one dense solve of r
-    and r + tolerance certifies n_real(r) = N > n_real(r + tolerance).  If
-    the certificate fails, or ``tolerance`` is below ``MIN_BRACKET``, a
-    bracket search takes over: a 65-point scan of n_real must start fully
-    real and never rise, or it raises with the offending subinterval, and
-    the first scan cell where the count falls is halved down to
-    ``tolerance``; its lower (certified fully-real) edge is returned.
+    from its a = 0 values to the coupling where it merges, and returns
+    r = fold - tolerance/2 (not below 0) once one dense solve of r and
+    r + tolerance certifies n_real(r) = N > n_real(r + tolerance).  If the
+    certificate fails, a bracket search takes over: a 65-point scan of
+    n_real must start fully real and never rise, or it raises with the
+    offending subinterval, and the first scan cell where the count falls
+    is halved down to ``tolerance``; its lower (certified fully-real) edge
+    is returned.
     """
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_tolerance(tolerance)
     n = n_points
-    if tolerance >= MIN_BRACKET:
-        fold = float(_fold_newton(n, exponent, *_pair_seeds(n, exponent, 0)))
-        if np.isfinite(fold):
-            r = max(fold - 0.5 * tolerance, 0.0)
-            counts = _spectra_along(n, exponent, [r, r + tolerance])[1]
-            if counts[0] == n > counts[1]:
-                return r
+    fold = float(_fold_newton(n, exponent, *_pair_seeds(n, exponent, 0)))
+    if np.isfinite(fold):
+        r = max(fold - 0.5 * tolerance, 0.0)
+        counts = _spectra_along(n, exponent, [r, r + tolerance])[1]
+        if counts[0] == n > counts[1]:
+            return r
 
     hi = CRITICAL_BRACKET
     while _spectra_along(n, exponent, hi)[1][0] == n:
@@ -287,6 +285,11 @@ def critical_coupling(
     return lo[0]
 
 
+def _check_tolerance(tolerance) -> None:
+    if not tolerance >= MIN_BRACKET:
+        raise ValueError(f"tolerance must be positive and >= {MIN_BRACKET}, got {tolerance}")
+
+
 def _drops(edges: np.ndarray, counts: np.ndarray):
     # (lo, hi, count at lo, count at hi) of every subinterval of edges over
     # which n_real falls; a rise anywhere is an error
@@ -304,19 +307,20 @@ def _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance):
     down to ``tolerance``, all midpoints in one engine call per round, and
     keep each half over which the count falls (two mergers split in two).
     A midpoint count outside [c_hi, c_lo] (the verdict flickers within
-    ~1e-15 of an EP) is clamped into it, so the scan fixes each drop."""
+    ~1e-15 of an EP) is clamped into it, so the scan fixes each drop; one
+    at the float spacing but wider than ``tolerance`` raises."""
     while True:
         wide = hi - lo > tolerance
         if not wide.any():
             return lo, hi, c_lo, c_hi
         a, b, c_a, c_b = lo[wide], hi[wide], c_lo[wide], c_hi[wide]
         mid = 0.5 * (a + b)
-        stuck = (b - a < MIN_BRACKET) | (mid == a) | (mid == b)
+        stuck = (mid == a) | (mid == b)
         if stuck.any():
             k = np.flatnonzero(stuck)[0]
             raise ValueError(
-                f"tolerance {tolerance} is below the real-count resolution {MIN_BRACKET} "
-                f"or the float spacing at a = {a[k]}; bracket [{a[k]}, {b[k]}] cannot shrink"
+                f"tolerance {tolerance} is below the float spacing at a = {a[k]}; "
+                f"bracket [{a[k]}, {b[k]}] cannot shrink"
             )
         c_mid = np.clip(_spectra_along(n_points, exponent, mid)[1], c_b, c_a)
         left, right, done = c_mid < c_a, c_b < c_mid, ~wide
@@ -332,7 +336,8 @@ def _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance):
     at lo.
 
     Fold Newton starts from the (c_lo - c_hi)/2 closest adjacent real pairs
-    at lo, all brackets in one batch.  A bracket is certified when its folds
+    at lo, all brackets in one batch, no lam step longer than ``FOLD_STEP``
+    times the pair's spacing there.  A bracket is certified when its folds
     lie in it within ``tolerance`` of each other and one dense solve of all
     brackets counts c_lo at the lowest fold - tolerance and c_hi at the
     highest fold + tolerance.
@@ -343,7 +348,7 @@ def _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance):
     b, rank = np.nonzero(np.arange(gap.shape[1]) < ((c_lo - c_hi) // 2)[:, None])
     j = np.argsort(gap, axis=1)[b, rank]
     seed = 0.5 * (rows[b, j] + rows[b, j + 1]).real
-    folds = _fold_newton(n_points, exponent, 0.5 * (lo + hi)[b], seed)
+    folds = _fold_newton(n_points, exponent, 0.5 * (lo + hi)[b], seed, FOLD_STEP * gap[b, j])
     folds[~np.isfinite(folds)] = -1.0  # a failed seed lands below every bracket
     first, last = np.full(lo.size, np.inf), np.full(lo.size, -np.inf)
     np.minimum.at(first, b, folds)
@@ -398,36 +403,30 @@ def exceptional_points(
 
     Fold Newton starts from every lower-half level pair at a = 0, and one
     dense solve certifies the folds: n_real at each fold -+ ``tolerance``
-    and at a_max must step down from N by 2 per merged pair, under the
-    assumption that n_real never rises (see ``_seeded_folds``).  Only when
-    that fails, or ``tolerance`` is below ``MIN_BRACKET``, does the scan
-    run: every drop of an upward scan of n_real over [0, a_max] is a
-    bracket, and a rise raises.  In a bracket where the count falls by 2k,
-    fold Newton starts from the k closest real pairs at its lower edge, and
-    one dense solve of all brackets certifies the folds (see
-    ``_certified_folds``).  A bracket that fails, or every bracket when
-    ``tolerance`` is below ``MIN_BRACKET``, is halved down to ``tolerance``
-    instead and reported at its midpoint; one whose count falls in both
-    halves splits in two.  A drop of 2k at one coupling (the
-    up-down-mirrored simultaneous merger) is reported as k coincident
-    exceptional points: one entry per complexified pair.
+    (at least ``MIN_BRACKET``) and at a_max must step down from N by 2 per
+    merged pair, under the assumption that n_real never rises (see
+    ``_seeded_folds``).  Only when that fails does the scan run: every drop
+    of an upward scan of n_real over [0, a_max] is a bracket, and a rise
+    raises.  In a bracket where the count falls by 2k, fold Newton starts
+    from the k closest real pairs at its lower edge, and one dense solve of
+    all brackets certifies the folds (see ``_certified_folds``).  A bracket
+    that fails is halved down to ``tolerance`` instead and reported at its
+    midpoint; one whose count falls in both halves splits in two.  A drop
+    of 2k at one coupling (the up-down-mirrored simultaneous merger) is
+    reported as k coincident exceptional points: one per complexified pair.
     """
     if a_max <= 0:
         raise ValueError(f"a_max must be positive, got {a_max}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if tolerance >= MIN_BRACKET:
-        found = _seeded_folds(n_points, exponent, a_max, tolerance)
-        if found is not None:
-            return found
+    _check_tolerance(tolerance)
+    found = _seeded_folds(n_points, exponent, a_max, tolerance)
+    if found is not None:
+        return found
     grid = np.linspace(0.0, a_max, EP_SCAN_SAMPLES + 1)
     vals, counts = _spectra_along(n_points, exponent, grid)
     lo, hi, c_lo, c_hi = _drops(grid, counts)
-    found = np.empty(0)
-    if tolerance >= MIN_BRACKET:
-        rows = vals[np.searchsorted(grid, lo)]
-        done, found = _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance)
-        lo, hi, c_lo, c_hi = lo[~done], hi[~done], c_lo[~done], c_hi[~done]
+    rows = vals[np.searchsorted(grid, lo)]
+    done, found = _certified_folds(n_points, exponent, rows, lo, hi, c_lo, c_hi, tolerance)
+    lo, hi, c_lo, c_hi = lo[~done], hi[~done], c_lo[~done], c_hi[~done]
     lo, hi, c_lo, c_hi = _refine(n_points, exponent, lo, hi, c_lo, c_hi, tolerance)
     return sorted(np.concatenate([found, np.repeat(0.5 * (lo + hi), (c_lo - c_hi) // 2)]).tolist())
 

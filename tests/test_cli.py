@@ -64,6 +64,13 @@ class TestSpectrum:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["real_flag"] for r in rows] == ["0"] * 4
 
+    def test_huge_coupling_flags_no_real_eigenvalue(self, capsys):
+        # the norm bound of this H is 1e200: its square would overflow
+        code, out = run(capsys, "spectrum", "--n", "2", "--a", "1e200")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["real_flag"] for r in rows] == ["0"] * 2
+
     def test_domain_error_exit_code(self, capsys):
         assert main(["spectrum", "--n", "3", "--a", "0.5"]) == 1
         capsys.readouterr()
@@ -125,6 +132,7 @@ class TestToleranceErrors:
             ["spectrum", "--n", "4", "--a", "0.3", "--tol", "-1"],
             ["critical", "--n", "4", "--tol", "1e-20"],
             ["eps", "--n", "6", "--tol", "1e-20"],
+            ["eps", "--n", "6", "--a-max", "0.1", "--tol", "1e-14"],
         ],
         ids=" ".join,
     )

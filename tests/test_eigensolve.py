@@ -90,10 +90,18 @@ class TestEigenvalues:
         ],
     )
     def test_classification_tolerance_uses_the_norm_bound(self, m):
-        bound = np.sqrt(np.linalg.norm(m, 1) * np.linalg.norm(m, np.inf))
+        bound = np.sqrt(np.linalg.norm(m, 1)) * np.sqrt(np.linalg.norm(m, np.inf))
         tol = eigenvalues(m).classification_tolerance
         assert tol == REALITY_RTOL * max(1.0, bound)
         assert tol >= REALITY_RTOL * np.linalg.norm(m, 2)
+
+    def test_norm_bound_does_not_overflow(self):
+        # eigenvalues +-1e200 i; the square of the norm bound would be inf
+        m = np.array([[0.0, 1e200], [-1e200, 0.0]])
+        spec = eigenvalues(m)
+        assert spec.n_real == 0
+        assert spec.classification_tolerance == REALITY_RTOL * 1e200
+        assert eigensystem(m).spectrum.n_real == 0
 
     def test_norm_bound_is_the_row_sum_for_coulomb_matrices(self):
         m = build_coulomb_hamiltonian(12, 0.7, -1.0).matrix

@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,20 @@ def _svd_dimension(h):
     return metrics._kronecker_nullity(np.asarray(getattr(h, "matrix", h), dtype=complex), 1e-10)
 
 
+def _nullity_at_40_digits(h):
+    # nullity of the Kronecker map built and decomposed in 40-digit arithmetic
+    # from the exact binary values of H: exact solutions sit near 1e-41 of the
+    # largest singular value, so a count at 1e-30 tells them from the
+    # near-solutions (nearly coinciding eigenvalues) that double precision
+    # cannot, which stay at or above ~1e-13 for the chains drawn here
+    with mpmath.workdps(40):
+        hx = np.vectorize(mpmath.mpc, otypes=[object])(np.asarray(h, dtype=complex))
+        eye = np.eye(hx.shape[0], dtype=int).astype(object)
+        m = np.kron(eye, hx.conj().T) - np.kron(hx.T, eye)
+        s = [abs(v) for v in mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)]
+        return sum(v <= mpmath.mpf("1e-30") * max(s) for v in s)
+
+
 def _basis(h):
     # (b, i, j): the N solutions grown from unit first rows e_b, and the
     # residual row block of each, straight from the library's recursion
@@ -421,8 +436,10 @@ class TestStructuralPathAgreesWithSvd:
     @settings(max_examples=300, deadline=None)
     def test_random_ill_scaled_tridiagonal(self, data, n, pt):
         # entries up to 1e6: the structural count never exceeds the SVD's, and
-        # equals it wherever the SVD is decisive, with no singular value
-        # within three orders of the 1e-10 threshold
+        # wherever it is below, the SVD's extra null directions are
+        # near-solutions: the structural count is the exact nullity, which
+        # 40-digit arithmetic resolves (a singular-value window in double
+        # precision cannot; near-solutions reach 1.3e-14 of the largest)
         part = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.5, 1.0]))
         entry = st.builds(complex, part, part)
         diag, lower, upper = (
@@ -434,10 +451,8 @@ class TestStructuralPathAgreesWithSvd:
             h = 0.5 * (h + np.conj(h)[::-1, ::-1])
         got, want = dieudonne_solution_dimension(h), _svd_dimension(h)
         assert got <= want
-        eye = np.eye(n)
-        s = np.linalg.svd(np.kron(eye, h.conj().T) - np.kron(h.T, eye), compute_uv=False)
-        if not np.any((s > 1e-13 * s[0]) & (s <= 1e-7 * s[0])):
-            assert got == want
+        if got < want:
+            assert got == _nullity_at_40_digits(h)
 
     CASES = {
         "diag-123": (np.diag([1.0, 2.0, 3.0]), 3),
@@ -471,6 +486,18 @@ class TestStructuralPathAgreesWithSvd:
         assert dieudonne_solution_dimension(h) == 8
         assert _svd_dimension(h) == 10
         assert metrics._kronecker_nullity(h.astype(complex), 1e-12) == 8
+
+    def test_svd_overcounts_below_the_old_window(self):
+        # a PT chain whose heavy end sites couple through 0.5i hops: their two
+        # eigenvalues near 13572 lie 1.4e-9 apart, so the SVD's two
+        # near-solutions sit at 9.99983e-14 of its largest singular value,
+        # just under 1e-13, and it counts 6; the exact nullity is 4
+        h = _tridiagonal(np.array([13572, 0, 0, 13572]), np.full(3, -0.5j), np.full(3, 0.5j))
+        assert np.array_equal(np.conj(h)[::-1, ::-1], h)
+        assert dieudonne_solution_dimension(h) == 4
+        assert _svd_dimension(h) == 6
+        assert metrics._kronecker_nullity(h.astype(complex), 1e-14) == 4
+        assert _nullity_at_40_digits(h) == 4
 
 
 class TestStructuralBasis:
@@ -528,6 +555,24 @@ class TestStructuralPathTaken:
         monkeypatch.setattr(metrics, "_kronecker_nullity", no_svd)
         h = build_coulomb_hamiltonian(n, frac * _alpha(n), -1.0)
         assert dieudonne_solution_dimension(h) == n
+
+
+class TestKroneckerSizeGuard:
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_coulomb_hamiltonian(64, 100 * _alpha(64), -1.0),
+            np.random.default_rng(3).normal(size=(metrics.KRONECKER_MAX_DIM + 1,) * 2),
+        ],
+        ids=["coulomb-64-far-outside", "dense-33"],
+    )
+    def test_uncertified_large_input_raises_before_building(self, monkeypatch, h):
+        def no_kron(*args):
+            raise AssertionError("Kronecker map built")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(ValueError, match=f"N <= {metrics.KRONECKER_MAX_DIM}"):
+            dieudonne_solution_dimension(h)
 
 
 MATRIX_CONSUMERS = {

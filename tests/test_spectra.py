@@ -269,12 +269,14 @@ def scanned_exceptional_points(n, z, a_max, tol):
 
 
 def fake_counts(steps):
-    """Stand-in for the engine whose real count follows a step table."""
+    """Stand-in for the engine whose real count follows a step table; its
+    eigenvalues are NaN, so no fold Newton seed from them converges."""
     edges, values = zip(*steps)
 
     def engine(n_points, exponent, couplings):
         a = np.atleast_1d(np.asarray(couplings, dtype=float))
-        return None, np.array(values)[np.searchsorted(edges, a, side="right") - 1]
+        vals = np.full((a.size, n_points), np.nan, dtype=complex)
+        return vals, np.array(values)[np.searchsorted(edges, a, side="right") - 1]
 
     return engine
 
@@ -325,19 +327,30 @@ class TestSharedRefinement:
             exceptional_points(6, -1.0, 3.0, tol)
 
     def test_critical_coupling_below_float_spacing_raises(self):
-        with pytest.raises(ValueError, match="float spacing at a = 0.7706"):
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got 1e-20"):
             critical_coupling(4, -1.0, 1e-20)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_exceptional_points_below_float_spacing_raises(self, n):
-        with pytest.raises(ValueError, match="float spacing"):
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got 1e-20"):
             exceptional_points(n, -1.0, 3.0, 1e-20)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 1e-14, 1e-20])
+    def test_tolerances_below_the_floor_raise_before_any_solve(self, monkeypatch, tol):
+        calls = []
+        monkeypatch.setattr(spectra, "_spectra_along", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got"):
+            critical_coupling(10, -1.0, tol)
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got"):
+            exceptional_points(10, -1.0, 3.0, tol)
+        assert calls == []
+
     def test_unseparable_drop_below_float_spacing_raises(self, monkeypatch):
-        # a drop of 4 that no split separates is narrowed to adjacent floats
-        monkeypatch.setattr(spectra, "_spectra_along", fake_counts([(0.0, 4), (0.7, 0)]))
-        with pytest.raises(ValueError, match="float spacing at a = 0.69"):
-            exceptional_points(4, -1.0, 3.0, 1e-20)
+        # a drop of 4 that no split separates is narrowed to adjacent floats,
+        # whose spacing near a = 1000 (1.1e-13) exceeds the tolerance
+        monkeypatch.setattr(spectra, "_spectra_along", fake_counts([(0.0, 4), (1000.0, 0)]))
+        with pytest.raises(ValueError, match="float spacing at a = 999.99"):
+            exceptional_points(4, -1.0, 2000.0, 1e-13)
 
 
 class TestRefinementWork:
@@ -481,9 +494,9 @@ class TestFoldOracle:
     @pytest.mark.parametrize("n", [4, 6, 10, 16, 24])
     @pytest.mark.parametrize("tol", [1e-14, 1e-15])
     def test_tolerances_below_the_floor_raise(self, n, tol):
-        with pytest.raises(ValueError, match="float spacing at a = "):
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got"):
             exceptional_points(n, -1.0, 3.0, tol)
-        with pytest.raises(ValueError, match="float spacing at a = "):
+        with pytest.raises(ValueError, match="positive and >= 1e-13, got"):
             critical_coupling(n, -1.0, tol)
 
 
