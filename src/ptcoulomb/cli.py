@@ -373,6 +373,39 @@ def _cmd_verify(args, out: _Output) -> None:
 # ---------------------------------------------------------------- parser
 
 
+_N = ("--n", {"type": int, "required": True})
+_A = ("--a", {"type": float, "required": True})
+_Z = ("--z", {"type": float, "default": -1.0})
+
+# (name, help, handler, flags in --help order); every command also takes
+# --out and --format
+_COMMANDS = (
+    ("hamiltonian", "emit the lattice Hamiltonian matrix", _cmd_hamiltonian, (_N, _A, _Z)),
+    ("spectrum", "eigenvalues with reality flags", _cmd_spectrum,
+     (_N, _A, _Z, ("--tol", {"type": float}))),
+    ("sweep", "eigenvalue loci over a coupling range", _cmd_sweep,
+     (_N, _Z, ("--a-min", {"type": float, "required": True}),
+      ("--a-max", {"type": float, "required": True}),
+      ("--steps", {"type": int, "required": True}))),
+    ("critical", "edge of the fully-real coupling interval", _cmd_critical,
+     (_N, _Z, ("--tol", {"type": float, "default": 1e-8}))),
+    ("eps", "exceptional points of the coupling", _cmd_eps,
+     (_N, _Z, ("--a-max", {"type": float, "default": 3.0}),
+      ("--tol", {"type": float, "default": 1e-6}))),
+    ("metric", "biorthogonal metric with diagnostics", _cmd_metric,
+     (_N, _A, _Z, ("--kappa", {"help": "comma list of positive weights"}))),
+    ("observable", "admissible N=2 observable", _cmd_observable,
+     (_A, ("--D", {"type": float, "required": True}),
+      ("--b", {"type": float, "default": 0.0}), ("--c", {"type": float, "default": 0.0}),
+      ("--g", {"type": float, "default": 0.0}), ("--m", {"type": float, "default": 0.0}))),
+    ("continuum-check", "continuum solution diagnostics", _cmd_continuum_check,
+     (("--epsilon", {"type": float, "default": 1.0}), ("--L", {"type": float, "default": 0.25}),
+      ("--Z", {"type": float, "default": 1.0}), ("--k", {"type": float, "default": 0.5}))),
+    ("verify", "run a named acceptance subset", _cmd_verify,
+     (("suite", {"choices": sorted(_SUITES)}),)),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process: parse_args leaves it unchanged."""
@@ -382,81 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "exceptional points, and Hermitizing metrics.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
+    for name, help_text, func, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, spec in flags:
+            sp.add_argument(flag, **spec)
+        sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    sp = sub.add_parser("hamiltonian", help="emit the lattice Hamiltonian matrix")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    common(sp)
-    sp.set_defaults(func=_cmd_hamiltonian)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues with reality flags")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--tol", type=float, default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = sub.add_parser("sweep", help="eigenvalue loci over a coupling range")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--a-min", type=float, required=True)
-    sp.add_argument("--a-max", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("critical", help="edge of the fully-real coupling interval")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp)
-    sp.set_defaults(func=_cmd_critical)
-
-    sp = sub.add_parser("eps", help="exceptional points of the coupling")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--a-max", type=float, default=3.0)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    common(sp)
-    sp.set_defaults(func=_cmd_eps)
-
-    sp = sub.add_parser("metric", help="biorthogonal metric with diagnostics")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--kappa", default=None, help="comma list of positive weights")
-    common(sp)
-    sp.set_defaults(func=_cmd_metric)
-
-    sp = sub.add_parser("observable", help="admissible N=2 observable")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--D", type=float, required=True)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--c", type=float, default=0.0)
-    sp.add_argument("--g", type=float, default=0.0)
-    sp.add_argument("--m", type=float, default=0.0)
-    common(sp)
-    sp.set_defaults(func=_cmd_observable)
-
-    sp = sub.add_parser("continuum-check", help="continuum solution diagnostics")
-    sp.add_argument("--epsilon", type=float, default=1.0)
-    sp.add_argument("--L", type=float, default=0.25)
-    sp.add_argument("--Z", type=float, default=1.0)
-    sp.add_argument("--k", type=float, default=0.5)
-    common(sp)
-    sp.set_defaults(func=_cmd_continuum_check)
-
-    sp = sub.add_parser("verify", help="run a named acceptance subset")
-    sp.add_argument("suite", choices=sorted(_SUITES))
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
+        sp.set_defaults(func=func)
     return p
 
 

@@ -72,11 +72,19 @@ class EigenSystem:
 
 
 def _norm_bound(m: np.ndarray) -> float:
-    """sqrt(|H|_1) sqrt(|H|_inf), a bound on |H|_2 that overflows only with the norms."""
+    """sqrt(|H|_1) sqrt(|H|_inf), a bound on |H|_2, at most the largest float.
+
+    The sums run on |H| scaled by 4^-k, which brings max|H_ij| near 1, and the
+    bound is scaled back by 4^k: powers of two are exact, so the bound is the
+    unscaled formula's wherever that one is finite."""
     if not m.size:
         return 0.0
     a = np.abs(m)
-    return float(np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max()))
+    k = np.frexp(a.max())[1] // 2
+    a = np.ldexp(a, -2 * k)
+    bound = np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        return float(min(np.ldexp(bound, 2 * k), np.finfo(float).max))
 
 
 def _classify(vals: np.ndarray, scale: float, tolerance: Optional[float]):

@@ -38,13 +38,14 @@ class MetricCandidate:
 
 @dataclass(frozen=True)
 class KappaWeights:
-    """Strictly positive weights |kappa_n|^2 of the all-metrics formula."""
+    """Strictly positive finite weights |kappa_n|^2 of the all-metrics formula;
+    zero, negative, NaN or infinite weights raise ValueError."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w <= 0):
+        if w.ndim != 1 or not np.all((w > 0) & (w < np.inf)):
             raise ValueError("kappa weights must be a 1D array of positive reals")
         object.__setattr__(self, "weights", w)
 

@@ -241,7 +241,7 @@ def critical_coupling(
     n_points: int, exponent: float = -1.0, tolerance: float = 1e-8
 ) -> float:
     """Edge alpha(N) of the reality interval, returned within ``tolerance``
-    (at least ``MIN_BRACKET``) below it.
+    (finite and at least ``MIN_BRACKET``) below it.
 
     Fold Newton follows the ground pair (levels 0 and 1, ``_pair_seeds``)
     from its a = 0 values to the coupling where it merges, and returns
@@ -286,8 +286,10 @@ def critical_coupling(
 
 
 def _check_tolerance(tolerance) -> None:
-    if not tolerance >= MIN_BRACKET:
-        raise ValueError(f"tolerance must be positive and >= {MIN_BRACKET}, got {tolerance}")
+    if not MIN_BRACKET <= tolerance < np.inf:
+        raise ValueError(
+            f"tolerance must be finite, positive and >= {MIN_BRACKET}, got {tolerance}"
+        )
 
 
 def _drops(edges: np.ndarray, counts: np.ndarray):
@@ -414,9 +416,12 @@ def exceptional_points(
     midpoint; one whose count falls in both halves splits in two.  A drop
     of 2k at one coupling (the up-down-mirrored simultaneous merger) is
     reported as k coincident exceptional points: one per complexified pair.
+
+    a_max must be finite and positive, and ``tolerance`` finite and at least
+    ``MIN_BRACKET``; otherwise ValueError is raised before any solve.
     """
-    if a_max <= 0:
-        raise ValueError(f"a_max must be positive, got {a_max}")
+    if not 0 < a_max < np.inf:
+        raise ValueError(f"a_max must be finite and positive, got {a_max}")
     _check_tolerance(tolerance)
     found = _seeded_folds(n_points, exponent, a_max, tolerance)
     if found is not None:
@@ -441,12 +446,13 @@ def sweep(
     """Eigenvalue loci on a uniform coupling grid, continuity-ordered.
 
     Greedy nearest-neighbor matching between consecutive rows keeps each
-    column on one locus; adequate away from exceptional points.
+    column on one locus; adequate away from exceptional points.  Needs
+    steps >= 2 and finite a_min < a_max, or raises ValueError before any solve.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if not a_min < a_max:
-        raise ValueError(f"need a_min < a_max, got [{a_min}, {a_max}]")
+    if not -np.inf < a_min < a_max < np.inf:
+        raise ValueError(f"need finite a_min < a_max, got [{a_min}, {a_max}]")
     couplings = np.linspace(a_min, a_max, steps)
     vals, n_real = _spectra_along(n_points, exponent, couplings)
     table = np.empty_like(vals)

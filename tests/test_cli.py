@@ -133,6 +133,13 @@ class TestToleranceErrors:
             ["critical", "--n", "4", "--tol", "1e-20"],
             ["eps", "--n", "6", "--tol", "1e-20"],
             ["eps", "--n", "6", "--a-max", "0.1", "--tol", "1e-14"],
+            ["critical", "--n", "4", "--tol", "inf"],
+            ["eps", "--n", "6", "--tol", "inf"],
+            ["eps", "--n", "6", "--a-max", "nan"],
+            ["eps", "--n", "6", "--a-max", "inf"],
+            ["sweep", "--n", "4", "--a-min", "0", "--a-max", "inf", "--steps", "3"],
+            ["metric", "--n", "4", "--a", "0.3", "--kappa", "1,inf,1,1"],
+            ["metric", "--n", "4", "--a", "0.3", "--kappa", "1,nan,1,1"],
         ],
         ids=" ".join,
     )
@@ -140,6 +147,7 @@ class TestToleranceErrors:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestMetric:
@@ -235,6 +243,46 @@ class TestVerify:
         assert [ln.split(":")[0] for ln in captured.err.splitlines()] == [
             f"PASS {name}" for name in csv_names
         ]
+
+
+class TestParserContract:
+    """The flags and defaults of every subcommand, from a minimal argv."""
+
+    COMMON = {"out": None, "format": "csv"}
+    CASES = [
+        (["hamiltonian", "--n", "4", "--a", "0.5"], {"n": 4, "a": 0.5, "z": -1.0}),
+        (["spectrum", "--n", "4", "--a", "0.5"], {"n": 4, "a": 0.5, "z": -1.0, "tol": None}),
+        (["sweep", "--n", "4", "--a-min", "0", "--a-max", "1", "--steps", "3"],
+         {"n": 4, "z": -1.0, "a_min": 0.0, "a_max": 1.0, "steps": 3}),
+        (["critical", "--n", "4"], {"n": 4, "z": -1.0, "tol": 1e-8}),
+        (["eps", "--n", "4"], {"n": 4, "z": -1.0, "a_max": 3.0, "tol": 1e-6}),
+        (["metric", "--n", "4", "--a", "0.5"], {"n": 4, "a": 0.5, "z": -1.0, "kappa": None}),
+        (["observable", "--a", "0.5", "--D", "2"],
+         {"a": 0.5, "D": 2.0, "b": 0.0, "c": 0.0, "g": 0.0, "m": 0.0}),
+        (["continuum-check"], {"epsilon": 1.0, "L": 0.25, "Z": 1.0, "k": 0.5}),
+        (["verify", "paper-n4"], {"suite": "paper-n4"}),
+    ]
+
+    @pytest.mark.parametrize("argv, flags", CASES, ids=[argv[0] for argv, _ in CASES])
+    def test_defaults(self, argv, flags):
+        got = vars(cli._build_parser().parse_args(argv))
+        assert callable(got.pop("func"))
+        want = {"command": argv[0], **flags, **self.COMMON}
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+    # every argument of a minimal argv is required
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [pytest.param(argv, tok, id=f"{argv[0]} without {tok}")
+         for argv, _ in CASES for tok in argv[1::2]],
+    )
+    def test_missing_required_argument_exits_2(self, capsys, argv, dropped):
+        i = argv.index(dropped)
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv[:i] + argv[i + 2:])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestUsageErrors:

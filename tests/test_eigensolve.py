@@ -8,6 +8,7 @@ from ptcoulomb import (
     build_coulomb_hamiltonian,
     characteristic_polynomial,
     closed_form_spectrum_n4,
+    eigensolve,
     eigensystem,
     eigenvalues,
     secular_coefficients_n4,
@@ -102,6 +103,23 @@ class TestEigenvalues:
         assert spec.n_real == 0
         assert spec.classification_tolerance == REALITY_RTOL * 1e200
         assert eigensystem(m).spectrum.n_real == 0
+
+    def test_norm_bound_beyond_the_float_range(self):
+        # finite entries, row and column sums 2e308; eigenvalues 1e308 +- 1e308 i
+        spec = eigenvalues(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+        assert spec.n_real == 0
+        assert spec.classification_tolerance == REALITY_RTOL * np.finfo(float).max
+
+    def test_scaled_norm_bound_equals_the_unscaled_formula(self):
+        def unscaled(m):
+            a = np.abs(m)
+            return float(np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max()))
+
+        rng = np.random.default_rng(20121)
+        for _ in range(2000):
+            n = rng.integers(1, 12)
+            m = 10.0 ** rng.uniform(-150, 150, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+            assert eigensolve._norm_bound(m) == unscaled(m)
 
     def test_norm_bound_is_the_row_sum_for_coulomb_matrices(self):
         m = build_coulomb_hamiltonian(12, 0.7, -1.0).matrix

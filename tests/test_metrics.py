@@ -104,6 +104,12 @@ class TestKappaWeights:
         with pytest.raises(ValueError):
             KappaWeights(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        sys_ = eigensystem(build_coulomb_hamiltonian(4, 0.3, -1.0))
+        with pytest.raises(ValueError, match="kappa weights"):
+            metric_from_biorthogonal(sys_, KappaWeights([1.0, bad, 1.0, 1.0]))
+
     def test_ones(self):
         np.testing.assert_array_equal(KappaWeights.ones(3).weights, [1, 1, 1])
 

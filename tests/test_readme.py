@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ptcoulomb import cli
 from ptcoulomb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,6 +21,16 @@ SCRIPT_LINES = re.findall(r"^python3 scripts/.*$", README, re.M)
 
 def test_readme_has_examples():
     assert len(CLI_LINES) >= 9 and SCRIPT_PATHS
+
+
+def test_readme_lists_every_verify_suite():
+    listed = re.search(r"^`verify` suites: (.*?)\.", README, re.M | re.S).group(1)
+    assert sorted(re.findall(r"`([\w-]+)`", listed)) == sorted(cli._SUITES)
+
+
+def test_readme_shows_every_subcommand():
+    shown = {line.split()[1] for line in CLI_LINES}
+    assert shown == {name for name, *_ in cli._COMMANDS}
 
 
 @pytest.mark.parametrize("line", CLI_LINES)

@@ -345,6 +345,27 @@ class TestSharedRefinement:
             exceptional_points(10, -1.0, 3.0, tol)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "func, args, name",
+        [
+            (critical_coupling, (10, -1.0, np.inf), "tolerance"),
+            (exceptional_points, (10, -1.0, 3.0, np.inf), "tolerance"),
+            (exceptional_points, (10, -1.0, np.nan, 1e-6), "a_max"),
+            (exceptional_points, (10, -1.0, np.inf, 1e-6), "a_max"),
+            (sweep, (4, -1.0, 0.0, np.inf, 3), "a_max"),
+            (sweep, (4, -1.0, -np.inf, 0.0, 3), "a_min"),
+            (sweep, (4, -1.0, np.nan, 1.0, 3), "a_min"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_non_finite_arguments_raise_before_any_solve(self, monkeypatch, func, args, name):
+        calls = []
+        for engine in ("_spectra_along", "_fold_newton"):
+            monkeypatch.setattr(spectra, engine, lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=name):
+            func(*args)
+        assert calls == []
+
     def test_unseparable_drop_below_float_spacing_raises(self, monkeypatch):
         # a drop of 4 that no split separates is narrowed to adjacent floats,
         # whose spacing near a = 1000 (1.1e-13) exceeds the tolerance
