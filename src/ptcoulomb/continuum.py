@@ -51,6 +51,9 @@ class ContinuumSpec:
     superposition: Tuple[complex, complex] = (1.0 + 0j, 0.0 + 0j)
 
     def __post_init__(self):
+        for name in ("angular", "z_charge", "k_wave"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.angular <= -0.5:
             raise ValueError(f"angular momentum L must exceed -1/2, got {self.angular}")
         if self.k_wave <= 0:
@@ -79,14 +82,15 @@ def kummer_1f1(alpha: complex, beta: complex, argument: complex) -> complex:
     """Kummer's 1F1 by direct Taylor series, elementwise over the argument.
 
     Each element terminates when its term drops below 1e-16 of its running
-    sum; raises on a beta pole (non-positive integer), on a non-finite
-    argument, on an overflowing sum, or when an element fails to converge
-    within the term cap.
+    sum; raises on a non-finite alpha or beta, on a beta pole (non-positive
+    integer), on a non-finite argument, on an overflowing sum, or when an
+    element fails to converge within the term cap.
     """
-    beta = complex(beta)
+    alpha, beta = complex(alpha), complex(beta)
+    if not np.isfinite([alpha, beta]).all():  # NaN terms would run to the cap
+        raise KummerError(f"1F1 parameters are not finite (alpha={alpha}, beta={beta})")
     if abs(beta.imag) < 1e-15 and beta.real <= 0 and abs(beta.real - round(beta.real)) < 1e-12:
         raise KummerError(f"1F1 pole: beta = {beta} is a non-positive integer")
-    alpha = complex(alpha)
     x = np.asarray(argument, dtype=complex)
     bad = ~np.isfinite(x)
     if bad.any():  # a NaN term never meets the stop rule: it would run to the cap
@@ -129,8 +133,8 @@ def contour_point(epsilon: float, s: float) -> complex:
     Left vertical line, lower semicircular arc through -i*epsilon, right
     vertical line; continuous at the joints s = -+ pi*epsilon/2.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     s = np.asarray(s, dtype=float)
     joint = 0.5 * np.pi * epsilon
     arc = epsilon * np.exp(1j * (s / epsilon + 1.5 * np.pi))

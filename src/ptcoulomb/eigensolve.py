@@ -126,7 +126,8 @@ def eigensystem(h, classification_tolerance: Optional[float] = None) -> EigenSys
     vals, vr = vals[order], vr[:, order]
 
     scale = _norm_bound(m)
-    gaps = np.abs(vals[:, None] - vals[None, :])
+    with np.errstate(over="ignore"):  # a gap past the float range is never degenerate
+        gaps = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(gaps, np.inf)
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[i, j] < DEGENERACY_RTOL * max(1.0, scale):

@@ -15,6 +15,7 @@ dimensionless form the diagonal reads
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,8 +67,8 @@ def build_grid(n_points: int, cutoff: float) -> GridSpec:
             f"n_points must be even and >= 2, got {n_points} "
             "(odd N would place a node on the x=0 singularity)"
         )
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not 0 < cutoff < np.inf:
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
     h = 2.0 * cutoff / (n_points + 1)
     j = np.arange(1, n_points + 1)
     nodes = (2 * j - n_points - 1) * h / 2.0
@@ -75,11 +76,19 @@ def build_grid(n_points: int, cutoff: float) -> GridSpec:
 
 
 def _signed_power(n_points: int, z: float) -> np.ndarray:
-    # sgn(2j-N-1) * |2j-N-1|^z for j = 1..N; even N keeps 2j-N-1 odd, never zero
+    # sgn(2j-N-1) * |2j-N-1|^z for j = 1..N; even N keeps 2j-N-1 odd, never zero;
+    # the one entry of (N, z) for the builder and the coupling searches
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError(f"n_points must be even and >= 2, got {n_points}")
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"exponent z must be finite, got {z}")
+    try:
+        (n_points - 1.0) ** z  # the largest weight; float ** raises where numpy would warn
+    except OverflowError:
+        raise ValueError(f"site weights |2j-N-1|^z overflow at N = {n_points}, z = {z}") from None
     m = 2 * np.arange(1, n_points + 1) - n_points - 1
-    return np.sign(m) * np.abs(m) ** float(z)
+    return np.sign(m) * np.abs(m) ** z
 
 
 def _tridiagonal(diag: np.ndarray) -> np.ndarray:
@@ -94,9 +103,14 @@ def build_coulomb_hamiltonian(
     """Tridiagonal Hamiltonian with diagonal 2 + i*a*sgn(2j-N-1)|2j-N-1|^z.
 
     At exponent -1 this is the discrete imaginary-Coulomb matrix with
-    diagonal 2 -+ i*a/(2j-1); exponent z generalizes the power law.
+    diagonal 2 -+ i*a/(2j-1); exponent z generalizes the power law.  The
+    coupling and every diagonal entry must be finite, or ValueError is raised.
     """
-    m = _tridiagonal(2.0 + 1j * coupling * _signed_power(n_points, exponent))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        im_diag = float(coupling) * _signed_power(n_points, exponent)
+    if not np.all(np.isfinite(im_diag)):
+        raise ValueError(f"coupling a*|2j-N-1|^z must be finite, got a = {coupling}, z = {exponent}")
+    m = _tridiagonal(2.0 + 1j * im_diag)
     return LatticeHamiltonian(matrix=m, coupling=float(coupling), exponent=float(exponent))
 
 

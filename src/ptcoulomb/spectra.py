@@ -31,12 +31,6 @@ from .lattice import LatticeHamiltonian, _signed_power, _tridiagonal
 #: number of uniform samples in the initial exceptional-point scan
 EP_SCAN_SAMPLES = 512
 
-#: upper edge of the default bracket for the critical coupling
-CRITICAL_BRACKET = 2.0
-
-#: hard cap for bracket auto-expansion
-CRITICAL_BRACKET_MAX = 64.0
-
 #: smallest tolerance of both coupling searches: within ~1e-13 of an EP the
 #: real count no longer certifies the side, so a finer one raises at entry
 MIN_BRACKET = 1e-13
@@ -145,7 +139,8 @@ def _spectra_along(n_points: int, exponent: float, couplings):
     this complex-symmetric H is its largest absolute row sum.
     """
     s = _signed_power(n_points, exponent)
-    im_diag = np.atleast_1d(np.asarray(couplings, dtype=float))[:, None] * s
+    with np.errstate(over="ignore"):  # an overflowing entry is rejected just below
+        im_diag = np.atleast_1d(np.asarray(couplings, dtype=float))[:, None] * s
     if not np.all(np.isfinite(im_diag)):
         raise ValueError("matrix has non-finite entries")
     n = n_points
@@ -247,11 +242,13 @@ def critical_coupling(
     from its a = 0 values to the coupling where it merges, and returns
     r = fold - tolerance/2 (not below 0) once one dense solve of r and
     r + tolerance certifies n_real(r) = N > n_real(r + tolerance).  If the
-    certificate fails, a bracket search takes over: a 65-point scan of
-    n_real must start fully real and never rise, or it raises with the
-    offending subinterval, and the first scan cell where the count falls
-    is halved down to ``tolerance``; its lower (certified fully-real) edge
-    is returned.
+    certificate fails, a 65-point scan of n_real over [0, 2b] takes over,
+    b = sqrt(2(N-1))/|s| for the site weights s: tr H = 2N and tr H^2 =
+    6N - 2 - a^2 |s|^2, so by Cauchy-Schwarz alpha <= b (equal at N = 2)
+    and some |Im eps| >= sqrt(3) at 2b.  The scan must start fully real and
+    never rise, or it raises with the offending subinterval, and the first
+    scan cell where the count falls is halved down to ``tolerance``; its
+    lower (certified fully-real) edge is returned.
     """
     _check_tolerance(tolerance)
     n = n_points
@@ -262,16 +259,10 @@ def critical_coupling(
         if counts[0] == n > counts[1]:
             return r
 
-    hi = CRITICAL_BRACKET
-    while _spectra_along(n, exponent, hi)[1][0] == n:
-        hi *= 2.0
-        if hi > CRITICAL_BRACKET_MAX:
-            raise RuntimeError(
-                f"spectrum still fully real at a = {hi / 2}; no critical coupling "
-                f"below {CRITICAL_BRACKET_MAX}"
-            )
-
-    grid = np.linspace(0.0, hi, 65)
+    # [0, 2b] as in the docstring; |s| = max|s| |s/max|s|| cannot overflow
+    s = _signed_power(n, exponent)
+    peak = np.abs(s).max()
+    grid = np.linspace(0.0, 2.0 * np.sqrt(2.0 * (n - 1)) / peak / np.linalg.norm(s / peak), 65)
     counts = _spectra_along(n, exponent, grid)[1]
     what = "fully-real predicate is not monotone on the scan grid"
     if counts[0] != n:
@@ -447,12 +438,13 @@ def sweep(
 
     Greedy nearest-neighbor matching between consecutive rows keeps each
     column on one locus; adequate away from exceptional points.  Needs
-    steps >= 2 and finite a_min < a_max, or raises ValueError before any solve.
+    steps >= 2 and a_min < a_max with a finite span a_max - a_min, or raises
+    ValueError before any solve.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if not -np.inf < a_min < a_max < np.inf:
-        raise ValueError(f"need finite a_min < a_max, got [{a_min}, {a_max}]")
+    if not (a_min < a_max and np.isfinite(float(a_max) - float(a_min))):
+        raise ValueError(f"need a_min < a_max with a finite span, got [{a_min}, {a_max}]")
     couplings = np.linspace(a_min, a_max, steps)
     vals, n_real = _spectra_along(n_points, exponent, couplings)
     table = np.empty_like(vals)
@@ -465,7 +457,8 @@ def sweep(
 def _greedy_match(ref: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """For each ref[j] in order, the index of the nearest unused entry of
     vals; ties go to the lowest index."""
-    dist = np.abs(vals[None, :] - ref[:, None])
+    with np.errstate(over="ignore"):  # a distance past the float range is never nearest
+        dist = np.abs(vals[None, :] - ref[:, None])
     # nearest picks that are all distinct are what the loop picks: hiding
     # other columns cannot move a row's first minimum (argmin also takes the
     # first NaN as the minimum, as the loop does)

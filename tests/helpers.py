@@ -46,6 +46,32 @@ def n_real_brute(n: int, a: float, z: float = -1.0, tol: float = 1e-9) -> int:
     return int(np.sum(np.abs(vals.imag) <= tol * max(1.0, np.abs(vals).max())))
 
 
+def trace_bound(n: int, z: float) -> float:
+    """b = sqrt(2(N-1))/|s| for the site weights s = sgn(m)|m|^z.
+
+    tr H = 2N and tr H^2 = 6N - 2 - a^2 |s|^2, and a real spectrum needs
+    sum eps^2 >= (sum eps)^2/N, so it is fully real only for a <= b.
+    """
+    m = np.arange(1 - n, n, 2)
+    return float(np.sqrt(2.0 * (n - 1)) / np.linalg.norm(np.sign(m) * np.abs(m) ** float(z)))
+
+
+def n_real_mp(n: int, a: float, z: float, dps: int = 50) -> int:
+    """Real-eigenvalue count of the Coulomb matrix from mpmath eigenvalues at
+    ``dps`` digits; |Im eps| <= 10^(-dps/2) counts as real."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.matrix(n, n)
+        for j in range(n):
+            m = 2 * j + 1 - n
+            h[j, j] = 2 + 1j * mp.mpf(a) * mp.sign(m) * mp.power(abs(m), mp.mpf(z))
+            if j:
+                h[j, j - 1] = h[j - 1, j] = -1
+        vals = mp.eig(h, left=False, right=False)
+        return sum(abs(mp.im(v)) <= mp.mpf(10) ** (-dps // 2) for v in vals)
+
+
 def contour_residual_reference(spec, contour, psi) -> float:
     """Max normalized ODE residual from precomputed psi, one sample at a time.
 

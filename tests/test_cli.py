@@ -140,6 +140,20 @@ class TestToleranceErrors:
             ["sweep", "--n", "4", "--a-min", "0", "--a-max", "inf", "--steps", "3"],
             ["metric", "--n", "4", "--a", "0.3", "--kappa", "1,inf,1,1"],
             ["metric", "--n", "4", "--a", "0.3", "--kappa", "1,nan,1,1"],
+            ["sweep", "--n", "4", "--a-min=-1e308", "--a-max", "1e308", "--steps", "3"],
+            ["hamiltonian", "--n", "4", "--a", "nan"],
+            ["hamiltonian", "--n", "4", "--a", "1", "--z", "inf"],
+            ["hamiltonian", "--n", "4", "--a", "1e308", "--z", "1"],
+            ["spectrum", "--n", "4", "--a", "inf"],
+            ["critical", "--n", "4", "--z", "inf"],
+            ["critical", "--n", "4", "--z", "1e10"],
+            ["eps", "--n", "6", "--z", "nan"],
+            ["sweep", "--n", "4", "--a-min", "0", "--a-max", "1", "--steps", "3", "--z", "inf"],
+            ["sweep", "--n", "4", "--a-min", "0", "--a-max", "1e308", "--steps", "3", "--z", "1"],
+            ["continuum-check", "--L", "nan"],
+            ["continuum-check", "--Z", "nan"],
+            ["continuum-check", "--k", "inf"],
+            ["continuum-check", "--epsilon", "nan"],
         ],
         ids=" ".join,
     )

@@ -28,6 +28,13 @@ class TestContinuumSpec:
         with pytest.raises(ValueError, match="-1/2"):
             ContinuumSpec(-0.5, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["angular", "z_charge", "k_wave"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        args = {"angular": 0.25, "z_charge": 1.0, "k_wave": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ContinuumSpec(**args)
+
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="positive"):
             ContinuumSpec(0.2, 0.0, 0.0)
@@ -118,6 +125,11 @@ class TestContour:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             contour_point(0.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            contour_point(eps, 1.0)
 
     def test_build_contour(self):
         c = build_contour(0.5, -2.0, 2.0, 9)

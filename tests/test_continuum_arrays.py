@@ -72,6 +72,12 @@ class TestArrayArguments:
         with pytest.raises(KummerError, match=r"overflowed .*x=\(-?800\+0j\)"):
             kummer_1f1(1.0, 1.0, x)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 1.5), (0.5, np.nan), (complex(0.5, np.inf), 1.5)])
+    def test_non_finite_parameters_raise_before_any_term(self, alpha, beta):
+        # the series loop raises only "overflowed" or "did not converge"
+        with pytest.raises(KummerError, match="parameters are not finite"):
+            kummer_1f1(alpha, beta, np.array([0.5, 1.0]))
+
     def test_non_convergence_names_first_argument(self):
         xs = np.array([0.5, complex(np.nan, 1.0), complex(2.0, np.nan)])
         with pytest.raises(KummerError, match=r"x=\(nan\+1j\)"):

@@ -110,6 +110,12 @@ class TestEigenvalues:
         assert spec.n_real == 0
         assert spec.classification_tolerance == REALITY_RTOL * np.finfo(float).max
 
+    def test_eigensystem_gap_beyond_the_float_range(self):
+        # the eigenvalue gap 2e308 i overflows to inf, which is never degenerate
+        system = eigensystem(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+        assert system.spectrum.n_real == 0
+        np.testing.assert_allclose(system.spectrum.eigenvalues, [1e308 - 1e308j, 1e308 + 1e308j])
+
     def test_scaled_norm_bound_equals_the_unscaled_formula(self):
         def unscaled(m):
             a = np.abs(m)

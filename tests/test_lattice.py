@@ -35,6 +35,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="cutoff"):
             build_grid(4, 0.0)
 
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite"):
+            build_grid(4, cutoff)
+
     @given(n=even_n, cutoff=st.floats(min_value=0.1, max_value=100))
     def test_nodes_symmetric_and_zero_free(self, n, cutoff):
         g = build_grid(n, cutoff)
@@ -76,6 +81,27 @@ class TestCoulombHamiltonian:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             build_coulomb_hamiltonian(5, 0.5, -1.0)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_rejected(self, a):
+        with pytest.raises(ValueError, match="must be finite, got a = "):
+            build_coulomb_hamiltonian(4, a, -1.0)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent_rejected(self, z):
+        with pytest.raises(ValueError, match="exponent z must be finite"):
+            build_coulomb_hamiltonian(4, 1.0, z)
+
+    def test_overflowing_site_weights_rejected(self):
+        # the largest N=4 weight 3^z is 1.6e308 at z = 646 and overflows at 647
+        h = build_coulomb_hamiltonian(4, 1e-300, 646.0)
+        assert np.all(np.isfinite(h.matrix))
+        with pytest.raises(ValueError, match="site weights"):
+            build_coulomb_hamiltonian(4, 1.0, 647.0)
+
+    def test_overflowing_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="must be finite, got a = 1e"):
+            build_coulomb_hamiltonian(4, 1e308, 1.0)
 
     @given(n=even_n, a=couplings, z=exponents)
     @settings(max_examples=60)

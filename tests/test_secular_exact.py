@@ -15,7 +15,15 @@ from math import comb, perm
 import numpy as np
 import pytest
 
-from ptcoulomb import secular_coefficients_n4, secular_coefficients_n6, spectra
+from ptcoulomb import (
+    build_coulomb_hamiltonian,
+    characteristic_polynomial,
+    critical_coupling,
+    secular_coefficients_n4,
+    secular_coefficients_n6,
+    spectra,
+)
+from helpers import n_real_brute, trace_bound
 
 
 def site_weights(n, z):
@@ -117,3 +125,42 @@ def test_recurrence_matches_exact_partials(n, z):
         assert factor > 0
         for g, w in zip(got, want):
             assert abs(g[k] / factor - w) <= 1e-13 * abs(w)
+
+
+@pytest.mark.parametrize("n, z", CASES)
+def test_trace_identities(n, z):
+    # p(lambda) = lambda^N - e1 lambda^(N-1) + e2 lambda^(N-2) - ... for even N,
+    # with e1 = sum eps = tr H and e1^2 - 2 e2 = sum eps^2 = tr H^2
+    p = exact_secular(n, z)
+    norm2 = sum(s * s for s in site_weights(n, z))
+    for a in (Fraction(0), Fraction(1, 3), Fraction(5, 4), Fraction(7, 2)):
+        one, minus_e1, e2 = coefficients_in_lambda(p, a)[:3]
+        assert one == 1 and -minus_e1 == 2 * n
+        assert minus_e1**2 - 2 * e2 == 6 * n - 2 - a * a * norm2
+
+
+@pytest.mark.parametrize("n, z", CASES)
+def test_faddeev_leverrier_matches_exact_coefficients(n, z):
+    # det(E - H) = det(H - E) for even N; the worst relative error over these
+    # cases is 1.2e-13 (N = 8, z = -2, a = 1/4)
+    p = exact_secular(n, z)
+    for a in (Fraction(1, 4), Fraction(5, 8), Fraction(3, 2), Fraction(7, 2)):
+        want = np.array([float(c) for c in coefficients_in_lambda(p, a)])
+        got = characteristic_polynomial(build_coulomb_hamiltonian(n, float(a), float(z)))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("z", [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0])
+def test_critical_coupling_within_the_trace_bound(z):
+    # the real count is monotone here: alpha <= b = sqrt(2(N-1))/|s|, equal
+    # at N = 2, and at 2b the identities force some |Im eps| >= sqrt(3)
+    tol = 1e-8
+    for n in range(2, 65, 2):
+        b = trace_bound(n, z)
+        alpha = critical_coupling(n, z, tol)
+        assert alpha <= b
+        if n == 2:
+            assert b - alpha <= tol
+        vals = np.linalg.eigvals(build_coulomb_hamiltonian(n, 2 * b, z).matrix)
+        assert np.abs(vals.imag).max() >= np.sqrt(3.0) * (1 - 1e-12)
+        assert n_real_brute(n, 2 * b, z) < n

@@ -15,7 +15,7 @@ from ptcoulomb import (
     spectra,
     sweep,
 )
-from helpers import multiset_deviation, n_real_brute
+from helpers import multiset_deviation, n_real_brute, n_real_mp, trace_bound
 
 N4_ALPHA_EXACT = 0.75 * np.sqrt(10.0 - 4.0 * np.sqrt(5.0))
 
@@ -162,6 +162,13 @@ class TestSweep:
         for row in table.eigenvalues:
             assert multiset_deviation(row, 4.0 - np.conj(row)) < 1e-9
 
+    def test_distances_past_the_float_range(self):
+        # at a = 1 the outer loci sit near -+1.66e308 i, so their distance
+        # overflows to inf, which is never the nearest; no RuntimeWarning
+        table = sweep(4, 646.0, 0.0, 1.0, 3)
+        assert table.n_real.tolist() == [4, 2, 2]
+        assert np.all(np.isfinite(table.eigenvalues))
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             sweep(4, -1.0, 0.0, 0.0, 10)
@@ -296,6 +303,83 @@ class TestNonMonotoneCounts:
             exceptional_points(4, -1.0, 3.0, 1e-6)
 
 
+class TestTraceBoundBracket:
+    """When the fold certificate fails, critical_coupling scans the count at
+    65 couplings over [0, 2b], b = sqrt(2(N-1))/|s| (``helpers.trace_bound``)."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Couplings of every engine call, with the fold solve made NaN."""
+        newton = spectra._fold_newton
+        monkeypatch.setattr(spectra, "_fold_newton", lambda *args: newton(*args) + np.nan)
+        calls = []
+        engine = spectra._spectra_along
+
+        def spy(n_points, exponent, couplings):
+            calls.append(np.atleast_1d(couplings))
+            return engine(n_points, exponent, couplings)
+
+        monkeypatch.setattr(spectra, "_spectra_along", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 10, 64])
+    @pytest.mark.parametrize("z", [-2.0, -1.0, 0.5])
+    def test_fallback_scans_to_twice_the_trace_bound(self, scans, n, z):
+        alpha = critical_coupling(n, z, 1e-8)
+        b = trace_bound(n, z)
+        np.testing.assert_allclose(scans[0], np.linspace(0.0, 2 * b, 65), rtol=1e-14, atol=0)
+        assert alpha <= b
+
+    @pytest.mark.parametrize("n, z", [(4, 646.0), (64, 171.3), (4, -1e6), (64, -300.0)])
+    def test_extreme_exponents_scan_a_finite_grid(self, scans, n, z):
+        # the largest weights 3^646 and 63^171.3 are 1.67e308, so |s| itself
+        # (about 1.41 times that) overflows; the suite turns any RuntimeWarning
+        # into an error
+        alpha = critical_coupling(n, z, 1e-8)
+        grid = scans[0]
+        assert grid.size == 65 and np.all(np.isfinite(grid)) and grid[-1] > 0
+        assert 0 <= alpha <= grid[-1]
+
+
+class TestNonMonotoneRealCount:
+    """For z >~ 2.5 the real count can rise with the coupling.  The counts
+    below hold at 50 digits too (``helpers.n_real_mp``); the double-precision
+    ones are checked by ``n_real_brute``."""
+
+    def test_critical_coupling_returns_the_first_loss(self):
+        # full reality is lost before 1.35e-6 and back at 1.458e-6, which the
+        # old [0, 2] bracket scan returned
+        assert abs(critical_coupling(32, 3.5, 1e-10) - 1.26423e-6) <= 1e-10
+        assert n_real_brute(32, 1.35e-6, 3.5) == 28
+        assert n_real_brute(32, 1.4581e-6, 3.5) == 32
+
+    def test_critical_coupling_raises_on_a_rise(self):
+        # the old bracket scan returned 2.95509e-6, past a loss at 2.7e-6
+        with pytest.raises(RuntimeError, match="not monotone"):
+            critical_coupling(28, 3.5, 1e-10)
+        assert n_real_brute(28, 2.7e-6, 3.5) == 24
+        assert n_real_brute(28, 2.955e-6, 3.5) == 28
+
+    def test_rise_behind_a_raise_holds_at_50_digits(self):
+        with pytest.raises(RuntimeError, match=r"not monotone.*\[0\.00107.*, 0\.00113"):
+            critical_coupling(8, 3.75, 1e-8)
+        assert [n_real_mp(8, a, 3.75) for a in (1.077e-3, 1.131e-3)] == [4, 6]
+        assert n_real_mp(28, 2.7e-6, 3.5) == 24
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the count falls 20 -> 16 at 3.538e-6 and rises 16 -> 20 at 3.794e-6 "
+        "and 16 -> 18 at 6.800e-6; the 513-point scan sees none of it and a wrong "
+        "list of 16 points comes back (needs real-curve tracing)",
+    )
+    def test_exceptional_points_raise_on_a_rise(self):
+        assert [n_real_brute(32, a * 1e-6, 4.0) for a in (3.4, 3.7, 4.5, 6.5, 7.5)] == [
+            20, 16, 20, 16, 18
+        ]
+        with pytest.raises(RuntimeError, match="non-monotone"):
+            exceptional_points(32, 4.0, 3.0, 1e-10)
+
+
 class TestAlphaPlateau:
     def test_alpha_times_n_levels_off(self):
         scaled = {n: critical_coupling(n, -1.0, 1e-8) * n for n in (64, 100)}
@@ -355,6 +439,11 @@ class TestSharedRefinement:
             (sweep, (4, -1.0, 0.0, np.inf, 3), "a_max"),
             (sweep, (4, -1.0, -np.inf, 0.0, 3), "a_min"),
             (sweep, (4, -1.0, np.nan, 1.0, 3), "a_min"),
+            (sweep, (4, -1.0, -1e308, 1e308, 3), "a_min < a_max with a finite span"),
+            (critical_coupling, (10, np.inf, 1e-8), "exponent"),
+            (critical_coupling, (10, 1e10, 1e-8), "site weights"),
+            (exceptional_points, (10, np.nan, 3.0, 1e-6), "exponent"),
+            (exceptional_points, (10, 400.0, 3.0, 1e-6), "site weights"),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -364,6 +453,14 @@ class TestSharedRefinement:
             monkeypatch.setattr(spectra, engine, lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match=name):
             func(*args)
+        assert calls == []
+
+    def test_sweep_checks_the_exponent_before_any_eigensolve(self, monkeypatch):
+        # sweep meets z first in the engine, which checks it before its LAPACK call
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="exponent z must be finite"):
+            sweep(4, np.inf, 0.0, 1.0, 3)
         assert calls == []
 
     def test_unseparable_drop_below_float_spacing_raises(self, monkeypatch):
