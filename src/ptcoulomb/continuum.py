@@ -144,11 +144,12 @@ def contour_point(epsilon: float, s: float) -> complex:
 
 
 def build_contour(epsilon: float, s_min: float, s_max: float, n_samples: int) -> ContourSpec:
-    """Uniformly sampled contour segment in the path parameter s."""
+    """Uniformly sampled contour segment in the path parameter s; needs
+    s_min < s_max with a finite span."""
     if n_samples < 5:
         raise ValueError(f"need at least 5 samples, got {n_samples}")
-    if not s_min < s_max:
-        raise ValueError(f"need s_min < s_max, got [{s_min}, {s_max}]")
+    if not (s_min < s_max and np.isfinite(float(s_max) - float(s_min))):
+        raise ValueError(f"need s_min < s_max with a finite span, got [{s_min}, {s_max}]")
     svals = np.linspace(s_min, s_max, n_samples)
     samples = list(zip(svals.tolist(), contour_point(epsilon, svals)))
     return ContourSpec(epsilon=float(epsilon), samples=samples)
@@ -205,15 +206,18 @@ def ode_residual_on_contour(spec: ContinuumSpec, contour: ContourSpec) -> float:
     path parameter s via the chain rule.  Joint samples sit at x = -+epsilon
     (the left one on the principal branch cut) and x(s) is not smooth
     there, so stencils touching a joint or spanning two branches are
-    skipped.  Returns 0 for the zero superposition.
+    skipped.  Returns 0 for the zero superposition.  The samples must be
+    uniform in s with a finite non-zero spacing, or ValueError is raised.
     """
     if len(contour.samples) < 5:
         raise ValueError("contour too coarse: need at least 5 samples")
     svals, xs = map(np.array, zip(*contour.samples))
     ds = np.diff(svals)
+    h = float(ds[0])
+    if h == 0 or not np.all(np.isfinite(ds)):
+        raise ValueError("contour samples need a finite non-zero spacing in s")
     if np.max(ds) - np.min(ds) > 1e-9 * np.max(np.abs(ds)):
         raise ValueError("contour samples must be uniform in s for 3-point stencils")
-    h = float(ds[0])
 
     psi = psi_value(spec, xs)
     scale = np.max(np.abs(psi))

@@ -97,6 +97,14 @@ def metric_from_biorthogonal(
     return MetricCandidate(matrix=theta, provenance="biorthogonal-kappa")
 
 
+def _finite(**params) -> Tuple[float, ...]:
+    """The keyword values as floats, in order; a non-finite one raises ValueError."""
+    for name, v in params.items():
+        if not np.isfinite(float(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return tuple(float(v) for v in params.values())
+
+
 def is_positive(theta) -> Tuple[bool, float]:
     """Positive-definiteness verdict plus the smallest Hermitian eigenvalue."""
     m = _as_matrix(theta)
@@ -108,8 +116,9 @@ def is_positive(theta) -> Tuple[bool, float]:
 
 
 def n2_metric(k_scale: float, m_shape: float, coupling: float) -> MetricCandidate:
-    """Two-parametric N=2 metric family [[k, km-ika], [km+ika, k]]."""
-    k, m, a = float(k_scale), float(m_shape), float(coupling)
+    """Two-parametric N=2 metric family [[k, km-ika], [km+ika, k]]; every
+    parameter must be finite."""
+    k, m, a = _finite(k_scale=k_scale, m_shape=m_shape, coupling=coupling)
     mat = np.array([[k, k * m - 1j * k * a], [k * m + 1j * k * a, k]], dtype=complex)
     return MetricCandidate(matrix=mat, provenance=f"n2_family(k={k}, m={m})")
 
@@ -117,13 +126,13 @@ def n2_metric(k_scale: float, m_shape: float, coupling: float) -> MetricCandidat
 def n2_metric_angles(k_scale: float, beta: float, gamma: float) -> MetricCandidate:
     """Angle form k*[[1, e^{-ig} cos b], [e^{ig} cos b, 1]] of the N=2 family.
 
-    Equals n2_metric(k, cos(b)cos(g), cos(b)sin(g)).
+    Equals n2_metric(k, cos(b)cos(g), cos(b)sin(g)).  Needs a finite k > 0.
     """
-    if k_scale <= 0:
+    (k,) = _finite(k_scale=k_scale)
+    if k <= 0:
         raise ValueError(f"k_scale must be positive, got {k_scale}")
     if not (0 < beta < np.pi) or not (0 < gamma < np.pi):
         raise ValueError(f"beta and gamma must lie in (0, pi), got {beta}, {gamma}")
-    k = float(k_scale)
     off = np.exp(-1j * gamma) * np.cos(beta)
     mat = k * np.array([[1.0, off], [np.conj(off), 1.0]], dtype=complex)
     return MetricCandidate(matrix=mat, provenance=f"n2_family(angles b={beta}, g={gamma})")
@@ -135,7 +144,7 @@ def cpt_charge_n2(coupling: float) -> Tuple[np.ndarray, float]:
     Only defined inside the reality interval |a| < 1; Theta = C P is then
     the unique CPT metric.
     """
-    a = float(coupling)
+    (a,) = _finite(coupling=coupling)
     if abs(a) >= 1:
         raise ValueError(f"no real-spectrum CPT frame for |a| >= 1 (a = {a})")
     k = 1.0 / np.sqrt(1.0 - a * a)
@@ -155,13 +164,15 @@ def n2_observable(
 
     Lambda = (1/a) [[Da - b - c + iga, g - bm + iba],
                     [g + cm + ica,     Da - iga    ]].
-    Crypto-Hermitian against n2_metric(k, m, a) for any k > 0.  The
-    parametrization divides by the coupling, so a = 0 is rejected.
+    Crypto-Hermitian against n2_metric(k, m, a) for any k > 0.  Every
+    parameter must be finite, and since the parametrization divides by the
+    coupling, a = 0 is rejected.
     """
-    a = float(coupling)
+    d, b, c, g, a, m = _finite(
+        d_diag=d_diag, b_im=b_im, c_im=c_im, g_im=g_im, coupling=coupling, m_shape=m_shape
+    )
     if a == 0.0:
         raise ValueError("observable parametrization is singular at coupling a = 0")
-    d, b, c, g, m = map(float, (d_diag, b_im, c_im, g_im, m_shape))
     mat = (1.0 / a) * np.array(
         [
             [d * a - b - c + 1j * g * a, g - b * m + 1j * b * a],
@@ -189,10 +200,12 @@ def n4_metric_ansatz(
          [W,      eta+i(kw+ra), r,            m-ikw],
          [Z,      W,            m+ikw,        k    ]]
 
-    solves the Dieudonne equation for every (k, m, r, eta).
+    solves the Dieudonne equation for every finite (k, m, r, eta).
     """
-    k, m, r, eta = map(float, (k_scale, m_shape, r_inner, eta_corner))
-    a, z = float(coupling), float(exponent)
+    k, m, r, eta, a, z = _finite(
+        k_scale=k_scale, m_shape=m_shape, r_inner=r_inner, eta_corner=eta_corner,
+        coupling=coupling, exponent=exponent,
+    )
     w = 3.0**z * a
     big_w = -(w * w) * k + r - k - k * w * a + 1j * (w * m + m * a)
     big_z = (
@@ -221,9 +234,10 @@ def n4_metric_eigenvalues(coupling: float, exponent: float = -1.0) -> np.ndarray
     """Closed-form eigenvalues of the (k,m,r,eta) = (1,0,1,0) N=4 metric.
 
     theta_+- = 1 +- (w - a^2 w + w^3)/2 +- sqrt(Delta_+-)/2 with the printed
-    sextic discriminants Delta_+-; returned sorted ascending.
+    sextic discriminants Delta_+-; returned sorted ascending.  a and z
+    must be finite.
     """
-    a, z = float(coupling), float(exponent)
+    a, z = _finite(coupling=coupling, exponent=exponent)
     w = 3.0**z * a
     shift = 0.5 * (w - a * a * w + w**3)
 

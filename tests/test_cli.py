@@ -154,6 +154,10 @@ class TestToleranceErrors:
             ["continuum-check", "--Z", "nan"],
             ["continuum-check", "--k", "inf"],
             ["continuum-check", "--epsilon", "nan"],
+            ["observable", "--a", "nan", "--D", "2"],
+            ["observable", "--a", "0.5", "--D", "inf"],
+            ["observable", "--a", "0.5", "--D", "2", "--m", "nan"],
+            ["observable", "--a", "0.5", "--D", "2", "--g=-inf"],
         ],
         ids=" ".join,
     )

@@ -144,6 +144,13 @@ class TestContour:
         with pytest.raises(ValueError, match="s_min"):
             build_contour(0.5, 1.0, -1.0, 9)
 
+    @pytest.mark.parametrize(
+        "s_min, s_max", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_build_contour_needs_a_finite_span(self, s_min, s_max):
+        with pytest.raises(ValueError, match="s_min < s_max with a finite span"):
+            build_contour(1.0, s_min, s_max, 5)
+
 
 class TestSolutionValues:
     def test_sinh_identity(self):
@@ -232,6 +239,15 @@ class TestOdeResidual:
         spec = ContinuumSpec(0.0, 0.8, 1.0)
         samples = [(s, contour_point(0.5, s)) for s in (1.0, 1.1, 1.3, 1.4, 1.5)]
         with pytest.raises(ValueError, match="uniform"):
+            ode_residual_on_contour(spec, ContourSpec(0.5, samples))
+
+    @pytest.mark.parametrize(
+        "svals", [[1.0] * 5, [1.0, np.inf, 1.2, 1.3, 1.4], [1.0, 1.1, 1.2, 1.3, np.nan]]
+    )
+    def test_zero_or_non_finite_spacing_rejected(self, svals):
+        spec = ContinuumSpec(0.0, 0.8, 1.0)
+        samples = [(s, contour_point(0.5, 1.0)) for s in svals]
+        with pytest.raises(ValueError, match="finite non-zero spacing"):
             ode_residual_on_contour(spec, ContourSpec(0.5, samples))
 
     def test_coarse_contour_rejected(self):

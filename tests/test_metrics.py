@@ -275,6 +275,27 @@ class TestN4MetricAnsatz:
         np.testing.assert_allclose(got, n4_metric_eigenvalues(a, z), atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "func, args, at",
+    [
+        (n2_metric, (1.0, 0.0, 0.5), range(3)),
+        (n2_metric_angles, (1.0, 1.0, 1.0), range(1)),
+        (cpt_charge_n2, (0.5,), range(1)),
+        (n2_observable, (2.0, 0.0, 0.0, 0.0, 0.5, 0.0), range(6)),
+        (n4_metric_ansatz, (1.0, 0.0, 1.0, 0.0, 0.3, -1.0), range(6)),
+        (n4_metric_eigenvalues, (0.3, -1.0), range(2)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_closed_form_families_reject_non_finite_parameters(func, args, at, bad):
+    # NaN slips past range checks such as |a| >= 1 and k <= 0, so each
+    # family needs its own finiteness check
+    for i in at:
+        with pytest.raises(ValueError, match="must be finite"):
+            func(*args[:i], bad, *args[i + 1:])
+
+
 class TestBandWidth:
     def test_identity(self):
         assert band_width(np.eye(5)) == 0

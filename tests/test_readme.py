@@ -52,7 +52,9 @@ def test_readme_has_script_examples():
 @pytest.mark.parametrize("line", SCRIPT_LINES)
 def test_script_example_runs(line, tmp_path):
     argv = shlex.split(line, comments=True)
-    done = subprocess.run([sys.executable, str(ROOT / argv[1]), *argv[2:]], cwd=tmp_path,
+    # the suite's own RuntimeWarning filter does not reach a subprocess
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / argv[1]), *argv[2:]], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

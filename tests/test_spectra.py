@@ -176,6 +176,22 @@ class TestSweep:
             sweep(4, -1.0, 0.0, 1.0, 1)
 
 
+def assert_each_cluster_drops_the_brute_count(n, z, pts, tol):
+    """Coincident EPs (one bracket, k pairs) form one cluster of size k,
+    across which n_real_brute falls by 2k between p - 2 tol and p + 2 tol."""
+    assert pts
+    clusters = [[pts[0]]]
+    for p in pts[1:]:
+        if p - clusters[-1][-1] <= 4 * tol:
+            clusters[-1].append(p)
+        else:
+            clusters.append([p])
+    for cluster in clusters:
+        p, k = cluster[0], len(cluster)
+        drop = n_real_brute(n, p - 2 * tol, z) - n_real_brute(n, p + 2 * tol, z)
+        assert drop == 2 * k
+
+
 def alpha_brute(n, z, iterations=40):
     """Edge of the fully-real interval by plain bisection of n_real_brute."""
     lo, hi = 0.0, 2.0
@@ -226,19 +242,7 @@ class TestCouplingAxisEngine:
     @settings(max_examples=15, deadline=None)
     def test_each_ep_drops_the_brute_count_by_its_pairs(self, z, n):
         tol = 1e-6
-        pts = exceptional_points(n, z, 3.0, tol)
-        assert pts
-        # coincident EPs (one bracket, k pairs) form one cluster of size k
-        clusters = [[pts[0]]]
-        for p in pts[1:]:
-            if p - clusters[-1][-1] <= 4 * tol:
-                clusters[-1].append(p)
-            else:
-                clusters.append([p])
-        for cluster in clusters:
-            p, k = cluster[0], len(cluster)
-            drop = n_real_brute(n, p - 2 * tol, z) - n_real_brute(n, p + 2 * tol, z)
-            assert drop == 2 * k
+        assert_each_cluster_drops_the_brute_count(n, z, exceptional_points(n, z, 3.0, tol), tol)
 
     def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
         sizes = []
@@ -545,6 +549,15 @@ class TestFoldCertificate:
         got = exceptional_points(10, -1.0, 3.0, tol)
         assert got[:4] == want[:4]
         assert abs(got[4] - want[4]) <= tol and got[4] != want[4]
+
+    # the first inputs of their z whose level-pair seeds fail the count
+    @pytest.mark.parametrize("n, z", [(8, 1.2), (36, 0.5)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_scan_inputs_drop_the_brute_count(self, n, z, tol):
+        assert spectra._seeded_folds(n, z, 3.0, tol) is None
+        pts = exceptional_points(n, z, 3.0, tol)
+        assert len(pts) == n // 2
+        assert_each_cluster_drops_the_brute_count(n, z, pts, tol)
 
     @pytest.mark.parametrize("n", [2, 4, 10, 24, 64])
     @pytest.mark.parametrize("z", [-1.2, -1.0, -0.8, -0.5, 0.5])
