@@ -16,6 +16,11 @@ eigensolve and no scan, and accept the folds only when one dense solve of
 the real count around each of them certifies them; a scan of the count and
 halving of its brackets is the fallback, which also catches families whose
 pairs merge otherwise.
+
+Every dense solve along the coupling axis (sweeps, certificates, scans and
+halving) goes through ``_spectra_along``, which hands LAPACK one real
+N/2 x N/2 matrix per coupling: the product of the two blocks that join even
+to odd sites in the real PT form, whose eigenvalues are (eps - 2)^2.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from .eigensolve import REALITY_RTOL, EigensolverError, eigenvalues
-from .lattice import LatticeHamiltonian, _signed_power, _tridiagonal
+from .lattice import LatticeHamiltonian, _signed_power
 
 #: number of uniform samples in the initial exceptional-point scan
 EP_SCAN_SAMPLES = 512
@@ -39,8 +44,8 @@ MIN_BRACKET = 1e-13
 #: pair's spacing where Newton starts: a longer step could reach another pair
 FOLD_STEP = 0.25
 
-#: bytes of one float64 matrix stack per LAPACK call in coupling scans; a
-#: single matrix larger than this is solved on its own
+#: bytes of one stack of float64 N/2 x N/2 block products per LAPACK call
+#: in coupling scans; a single block larger than this is solved on its own
 STACK_BYTES = 1 << 20
 
 
@@ -133,31 +138,45 @@ def _spectra_along(n_points: int, exponent: float, couplings):
 
     H = A + iB with A = tridiag(-1, 2, -1) and B = a diag(s) satisfies
     PAP = A and PBP = -B for the anti-diagonal flip P, so the unitary
-    Q = (I + iP)/sqrt(2) gives Q^dag H Q = A - BP: a real matrix with the
-    eigenvalues and 2-norm of H.  Eigenvalues are classified as in
-    ``eigensolve.eigenvalues``, with the scale sqrt(|H|_1 |H|_inf), which for
-    this complex-symmetric H is its largest absolute row sum.
+    Q = (I + iP)/sqrt(2) gives Q^dag H Q = T = A - BP: a real matrix with the
+    eigenvalues and 2-norm of H.  Every nonzero of T - 2 joins an even site
+    to an odd one (k to k -+ 1, and k to N-1-k, whose sum N-1 is odd), so
+    over (even, odd) sites T - 2 = [[0, X], [Y, 0]] and the eigenvalues of H
+    are 2 -+ sqrt(mu) for the N/2 eigenvalues mu of the real matrix XY (a
+    real mu > 0 gives two eigenvalues whose imaginary part is exactly 0).
+    X and Y are divided by 2^(e-1), e the binary exponent of 1 + max|a s|,
+    so that XY cannot overflow, and sqrt(mu) is multiplied back: a power of
+    two scales without rounding, and it is 1 wherever max|a s| < 1.
+    Eigenvalues are classified as in ``eigensolve.eigenvalues``, with the
+    scale sqrt(|H|_1 |H|_inf), which for this complex-symmetric H is its
+    largest absolute row sum.
     """
     s = _signed_power(n_points, exponent)
     with np.errstate(over="ignore"):  # an overflowing entry is rejected just below
         im_diag = np.atleast_1d(np.asarray(couplings, dtype=float))[:, None] * s
     if not np.all(np.isfinite(im_diag)):
         raise ValueError("matrix has non-finite entries")
-    n = n_points
-    lap = _tridiagonal(np.full(n, 2.0))
-    rows, flip = np.arange(n), np.arange(n)[::-1]
-    chunk = max(1, STACK_BYTES // lap.nbytes)
-    vals = np.empty(im_diag.shape, dtype=complex)
+    half = n_points // 2
+    pow2 = np.exp2(np.frexp(1.0 + np.abs(im_diag).max(axis=1))[1] - 1.0)[:, None]
+    weights = im_diag / pow2
+    # -1 joins even site 2i to odd sites 2i -+ 1 (X) and odd 2i+1 to even 2i, 2i+2 (Y)
+    x_hops = -np.eye(half) - np.eye(half, k=-1)
+    rows, flip = np.arange(half), np.arange(half)[::-1]
+    chunk = max(1, STACK_BYTES // x_hops.nbytes)
+    roots = np.empty((len(im_diag), half), dtype=complex)
     for start in range(0, len(im_diag), chunk):
-        part = im_diag[start:start + chunk]
-        stack = np.repeat(lap[None], len(part), axis=0)
-        stack[:, rows, flip] -= part
+        part, p2 = weights[start:start + chunk], pow2[start:start + chunk]
+        x, y = x_hops / p2[:, :, None], x_hops.T / p2[:, :, None]
+        x[:, rows, flip] -= part[:, 0::2]
+        y[:, rows, flip] -= part[:, 1::2]
         try:
-            vals[start:start + chunk] = np.linalg.eigvals(stack)
+            mu = np.linalg.eigvals(x @ y)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+        roots[start:start + chunk] = np.sqrt(mu.astype(complex)) * p2
+    vals = np.concatenate([2.0 - roots, 2.0 + roots], axis=1)
     vals = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real), axis=-1), axis=-1)
-    off_diag = np.full(n, 2.0)
+    off_diag = np.full(n_points, 2.0)
     off_diag[[0, -1]] = 1.0
     scale = (np.hypot(2.0, im_diag) + off_diag).max(axis=1)
     tol = REALITY_RTOL * np.maximum(1.0, scale)

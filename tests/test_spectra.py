@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from ptcoulomb import (
     spectra,
     sweep,
 )
-from helpers import multiset_deviation, n_real_brute, n_real_mp, trace_bound
+from helpers import eigenvalues_mp, multiset_deviation, n_real_brute, n_real_mp, trace_bound
 
 N4_ALPHA_EXACT = 0.75 * np.sqrt(10.0 - 4.0 * np.sqrt(5.0))
 
@@ -205,7 +207,7 @@ def alpha_brute(n, z, iterations=40):
 
 
 class TestCouplingAxisEngine:
-    @pytest.mark.parametrize("n", [2, 4, 10, 64])
+    @pytest.mark.parametrize("n", [2, 4, 10, 64, 128])
     @pytest.mark.parametrize("z", [-1.0, -0.5, 0.5])
     def test_eigenvalues_match_complex_eigvals(self, n, z):
         alpha = alpha_brute(n, z)
@@ -220,6 +222,46 @@ class TestCouplingAxisEngine:
             assert multiset_deviation(row, np.linalg.eigvals(m)) <= bound
             keys = [(v.real, v.imag) for v in row]
             assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", [2, 10, 64])
+    @pytest.mark.parametrize("z", [-1.0, 0.5])
+    def test_rows_are_pairs_about_the_band_centre(self, n, z):
+        # each row is 2 -+ r for the block's N/2 roots r: the imaginary parts
+        # of eps and 4 - eps agree exactly, the real parts up to the rounding
+        # of 2 -+ Re r; real eigenvalues carry an imaginary part of exactly 0
+        couplings = alpha_brute(n, z) * np.array([0.0, 0.5, 0.9, 1.5, 3.0])
+        vals, counts = spectra._spectra_along(n, z, couplings)
+        for row, count in zip(vals, counts):
+            for eps in row:
+                ulps = 2.0 * np.spacing(2.0 + abs(eps - 2.0))
+                mirror = (row.imag == -eps.imag) & (np.abs(row.real - (4.0 - eps.real)) <= ulps)
+                assert mirror.any()
+            assert np.count_nonzero(row.imag == 0.0) == count
+
+    def test_block_product_cannot_overflow(self):
+        # a*s reaches 1e155 at N=64, z=-1, so an unscaled XY would hold
+        # (a s)^2 = 1e310: each coupling's blocks are scaled by a power of two
+        a = np.array([1e155, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _ = spectra._spectra_along(64, -1.0, a)
+        assert np.all(np.isfinite(vals))
+        for coupling, row in zip(a, vals):
+            m = build_coulomb_hamiltonian(64, coupling, -1.0).matrix
+            bound = 1e-12 * np.linalg.norm(m, 2)
+            assert multiset_deviation(row, np.linalg.eigvals(m)) <= bound
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("z", [-1.0, 0.5, 1.0])
+    def test_eigenvalues_match_30_digit_eigenvalues(self, n, z):
+        pytest.importorskip("mpmath")
+        couplings = critical_coupling(n, z, 1e-12) * np.array([0.5, 0.99, 1.01, 2.5])
+        vals, counts = spectra._spectra_along(n, z, couplings)
+        for a, row, count in zip(couplings, vals, counts):
+            want, n_real = eigenvalues_mp(n, a, z, dps=30)
+            m = build_coulomb_hamiltonian(n, a, z).matrix
+            assert multiset_deviation(row, want) <= 1e-13 * max(1.0, np.linalg.norm(m, 2))
+            assert count == n_real
 
     @pytest.mark.parametrize("n", [4, 10, 16])
     @pytest.mark.parametrize("z", [-1.0, -0.5, 0.5])
@@ -249,13 +291,15 @@ class TestCouplingAxisEngine:
         eigvals = np.linalg.eigvals
 
         def spy(stack):
-            sizes.append((stack.shape[0], stack.nbytes))
+            sizes.append((stack.shape, stack.nbytes))
             return eigvals(stack)
 
         monkeypatch.setattr(np.linalg, "eigvals", spy)
         table = sweep(64, -1.0, 0.0, 0.2, 100)
-        assert sum(count for count, _ in sizes) == 100
-        assert max(count for count, _ in sizes) > 1
+        # LAPACK sees only the real N/2 x N/2 block products, never H
+        assert all(shape[1:] == (32, 32) for shape, _ in sizes)
+        assert sum(shape[0] for shape, _ in sizes) == 100
+        assert max(shape[0] for shape, _ in sizes) > 1
         assert all(nbytes <= spectra.STACK_BYTES for _, nbytes in sizes)
         assert table.eigenvalues.shape == (100, 64)
 
